@@ -28,6 +28,7 @@ from hamflux.linalg import (
     Subspace,
     kernel_basis,
     quotient_map,
+    unit_vector,
     vec_scale,
     vec_sub,
     vector,
@@ -65,16 +66,12 @@ def from_central_extension(hat_h, z):
     for j in range(z.dim):
         col = z.basis.column(j)
         for i in range(n):
-            e = tuple(1 if q == i else 0 for q in range(n))
-            if any(x != 0 for x in hat_h.bracket(e, col)):
+            if any(x != 0 for x in hat_h.bracket(unit_vector(n, i), col)):
                 raise NotCentral(f"z basis vector {j} does not commute with e_{i}")
     q = quotient_map(n, z)
     h_dim = q.nrows
     solver = LinearSolver(q)
-    section_cols = [
-        solver.solve(tuple(1 if r == i else 0 for r in range(h_dim)))
-        for i in range(h_dim)
-    ]
+    section_cols = [solver.solve(unit_vector(h_dim, i)) for i in range(h_dim)]
     S = Matrix.from_columns(section_cols, n)
     table = [
         [q.apply(hat_h.bracket(S.column(i), S.column(j))) for j in range(h_dim)]
@@ -176,8 +173,7 @@ def matrix_algebra_example(n):
     for i in range(h_dim):
         cols = []
         for a in range(n * n):
-            unit = tuple(1 if q == a else 0 for q in range(n * n))
-            cols.append(_commutator_coords(n, basis[i], unit))
+            cols.append(_commutator_coords(n, basis[i], unit_vector(n * n, a)))
         action.append(Matrix.from_columns(cols, n * n))
     module = LieModule(h, n * n, action)
     omega = Cochain.from_values(
@@ -229,14 +225,11 @@ def associative_algebra_example(mult_table):
     if any(len(row) != m for row in table):
         raise ValueError("multiplication table must be square")
 
-    def unit(i):
-        return tuple(1 if q == i else 0 for q in range(m))
-
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                lhs = _assoc_multiply(table, table[i][j], unit(k))
-                rhs = _assoc_multiply(table, unit(i), table[j][k])
+                lhs = _assoc_multiply(table, table[i][j], unit_vector(m, k))
+                rhs = _assoc_multiply(table, unit_vector(m, i), table[j][k])
                 if lhs != rhs:
                     raise NotAssociative(i, j, k)
 
@@ -246,19 +239,13 @@ def associative_algebra_example(mult_table):
     # center of the associative algebra: kernel of all L_b - R_b
     blocks = []
     for b in range(m):
-        cols = [commutator(unit(b), unit(j)) for j in range(m)]
+        cols = [commutator(unit_vector(m, b), unit_vector(m, j)) for j in range(m)]
         blocks.append(Matrix.from_columns(cols, m))
     z = kernel_basis(reduce(vstack, blocks)) if blocks else Subspace.full(m)
     q = quotient_map(m, z)
     h_dim = q.nrows
     solver = LinearSolver(q)
-    S = Matrix.from_columns(
-        [
-            solver.solve(tuple(1 if r == i else 0 for r in range(h_dim)))
-            for i in range(h_dim)
-        ],
-        m,
-    )
+    S = Matrix.from_columns([solver.solve(unit_vector(h_dim, i)) for i in range(h_dim)], m)
     h_table = [
         [q.apply(commutator(S.column(i), S.column(j))) for j in range(h_dim)]
         for i in range(h_dim)
@@ -266,7 +253,7 @@ def associative_algebra_example(mult_table):
     h = LieAlgebra(h_table)
     action = []
     for i in range(h_dim):
-        cols = [commutator(S.column(i), unit(a)) for a in range(m)]
+        cols = [commutator(S.column(i), unit_vector(m, a)) for a in range(m)]
         action.append(Matrix.from_columns(cols, m))
     module = LieModule(h, m, action)
     omega = Cochain.from_values(
@@ -379,18 +366,13 @@ def _random_module(rng, algebra, m, attempt):
     kind = rng.choice(["trivial", "adjoint", "shift"])
     if kind == "adjoint" and n == m:
         return LieModule(
-            algebra, m, [algebra.ad_matrix(tuple(1 if q == i else 0 for q in range(n))) for i in range(n)]
+            algebra, m, [algebra.ad_matrix(unit_vector(n, i)) for i in range(n)]
         )
     if kind == "shift" and m >= 2:
         # commuting polynomials in one shift operator; generators appearing
         # in a bracket image act by zero so the hom property is automatic
         shift = Matrix.from_columns(
-            [
-                tuple(1 if r == c + 1 else 0 for r in range(m))
-                for c in range(m - 1)
-            ]
-            + [zero_vector(m)],
-            m,
+            [unit_vector(m, c + 1) for c in range(m - 1)] + [zero_vector(m)], m
         )
         image_indices = set()
         for i in range(n):

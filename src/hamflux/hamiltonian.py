@@ -42,6 +42,7 @@ from hamflux.linalg import (
     hstack,
     kernel_basis,
     quotient_map,
+    unit_vector,
     vec_add,
     vec_neg,
     vec_sub,
@@ -49,12 +50,6 @@ from hamflux.linalg import (
     vstack,
     zero_vector,
 )
-
-
-def _basis_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return vector(v)
 
 
 class HamiltonianAnalysis:
@@ -71,11 +66,11 @@ class HamiltonianAnalysis:
         m = module.dim
         # columns: coordinates of i_{e_i} omega and i_{e_i} d(omega)
         self._contraction = Matrix.from_columns(
-            [contract(_basis_vec(n, i), omega).coords for i in range(n)],
+            [contract(unit_vector(n, i), omega).coords for i in range(n)],
             cochain_dim(module, 1),
         )
         self._contraction3 = Matrix.from_columns(
-            [contract(_basis_vec(n, i), self.d_omega).coords for i in range(n)],
+            [contract(unit_vector(n, i), self.d_omega).coords for i in range(n)],
             cochain_dim(module, 2),
         )
         self._d0 = differential_matrix(module, 0)
@@ -105,6 +100,9 @@ class HamiltonianAnalysis:
 
         self._lift_solver = LinearSolver(vstack(self._contraction, self._contraction3))
         self._potential_solver = LinearSolver(self._d0)
+        # objects hamflux.momentum derives from an action zeta, keyed by
+        # (zeta.source, zeta.matrix)
+        self._actions = {}
 
     def _compute_normalizer(self):
         n = self.module.algebra.dim
@@ -114,7 +112,7 @@ class HamiltonianAnalysis:
             q = quotient_map(n, self.radical)
             for r in self.radical.basis.columns():
                 # xi -> [xi, r] composed with the quotient by the radical
-                cols = [alg.bracket(_basis_vec(n, i), r) for i in range(n)]
+                cols = [alg.bracket(unit_vector(n, i), r) for i in range(n)]
                 blocks.append(q * Matrix.from_columns(cols, n))
         stacked = blocks[0]
         for b in blocks[1:]:

@@ -16,6 +16,7 @@ from hamflux.linalg import (
     Subspace,
     is_zero_vector,
     kernel_basis,
+    unit_vector,
     vec_add,
     vec_scale,
     vector,
@@ -123,12 +124,6 @@ def _transpose_action(algebra):
     return Matrix(rows, n)
 
 
-def _basis_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return vector(v)
-
-
 class LieModule:
     """Representation of a LieAlgebra on Q^dim by matrices per basis element.
 
@@ -201,7 +196,7 @@ class LieModule:
 
 def adjoint_module(algebra):
     """The algebra acting on itself by ad."""
-    mats = [algebra.ad_matrix(_basis_vec(algebra.dim, i)) for i in range(algebra.dim)]
+    mats = [algebra.ad_matrix(unit_vector(algebra.dim, i)) for i in range(algebra.dim)]
     return LieModule(algebra, algebra.dim, mats)
 
 

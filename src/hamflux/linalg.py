@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Everything reduces to one elimination kernel (see _backend): matrices are
-scaled row-wise to integers, reduced by fraction-free Gauss-Jordan, and
+Everything reduces to one elimination kernel, _backend.rref_ints: matrices
+are scaled row-wise to integers, reduced by fraction-free Gauss-Jordan, and
 normalized back. All derived objects are canonical so that equal subspaces
 compare equal and repeated runs produce identical output:
 
@@ -50,6 +50,11 @@ def vector(xs):
 
 def zero_vector(n):
     return (_ZERO,) * n
+
+
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n."""
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vec_add(u, v):
@@ -107,9 +112,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        return cls(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -205,7 +208,7 @@ class Matrix:
             raise Unsolvable("not square")
         solver = LinearSolver(self)
         n = self.nrows
-        cols = [solver.solve(Matrix.identity(n).column(j)) for j in range(n)]
+        cols = [solver.solve(unit_vector(n, j)) for j in range(n)]
         return Matrix.from_columns(cols, n)
 
 

@@ -41,17 +41,14 @@ from hamflux.linalg import (
     Subspace,
     hstack,
     quotient_map,
+    solve_affine,
+    unit_vector,
     vec_add,
+    vec_neg,
     vec_sub,
     vector,
     zero_vector,
 )
-
-
-def _check_image_hamiltonian(analysis, zeta):
-    for i in range(zeta.source.dim):
-        if not analysis.hamiltonian.contains(zeta.matrix.column(i)):
-            raise ImageNotHamiltonian(i)
 
 
 def pullback_module(analysis, zeta):
@@ -61,29 +58,49 @@ def pullback_module(analysis, zeta):
     return LieModule(g, analysis.module.dim, mats)
 
 
+def _action_store(analysis, zeta):
+    """What this module derives from zeta on one analysis, keyed by value
+    like module._cache; the image of zeta is checked hamiltonian once."""
+    key = (zeta.source, zeta.matrix)
+    store = analysis._actions.get(key)
+    if store is None:
+        for i in range(zeta.source.dim):
+            if not analysis.hamiltonian.contains(zeta.matrix.column(i)):
+                raise ImageNotHamiltonian(i)
+        store = analysis._actions[key] = {}
+    return store
+
+
 def pullback_cocycle(analysis, zeta):
-    """omega_g(X, Y) = omega(zeta X, zeta Y), closed over the pullback module."""
-    _check_image_hamiltonian(analysis, zeta)
-    pb = pullback_module(analysis, zeta)
-    z = zeta.matrix
-    omega_g = Cochain.from_values(
-        pb, 2, lambda i, j: analysis.omega_value(z.column(i), z.column(j))
-    )
-    if not differential(omega_g).is_zero():
-        raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
-    return omega_g
+    """omega_g(X, Y) = omega(zeta X, zeta Y), closed over the pullback module.
+
+    Built and checked once per (analysis, zeta); its module is the one
+    pullback module that every cochain derived from zeta lives on.
+    """
+    store = _action_store(analysis, zeta)
+    if "omega_g" not in store:
+        z = zeta.matrix
+        omega_g = Cochain.from_values(
+            pullback_module(analysis, zeta),
+            2,
+            lambda i, j: analysis.omega_value(z.column(i), z.column(j)),
+        )
+        if not differential(omega_g).is_zero():
+            raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
+        store["omega_g"] = omega_g
+    return store["omega_g"]
 
 
 class MomentumMap:
     """A validated momentum map: d(J X) = i_{zeta X} omega for every basis X."""
 
-    __slots__ = ("analysis", "zeta", "matrix")
+    __slots__ = ("analysis", "zeta", "matrix", "_tau")
 
     def __init__(self, analysis, zeta, matrix):
         matrix = matrix if isinstance(matrix, Matrix) else Matrix(matrix)
         if matrix.nrows != analysis.module.dim or matrix.ncols != zeta.source.dim:
             raise ValueError("momentum matrix must be module.dim x g.dim")
-        _check_image_hamiltonian(analysis, zeta)
+        _action_store(analysis, zeta)  # checks the image of zeta is hamiltonian
         for i in range(zeta.source.dim):
             dv = differential(Cochain(analysis.module, 0, matrix.column(i)))
             if dv != contract(zeta.matrix.column(i), analysis.omega):
@@ -93,6 +110,7 @@ class MomentumMap:
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_tau", None)  # set by obstruction_cocycle
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentumMap is immutable")
@@ -116,7 +134,7 @@ def solve_momentum(analysis, zeta):
     differ exactly by a linear map g -> V^h, so the freedom is
     Hom(g, invariants), dimension g.dim * invariants.dim.
     """
-    _check_image_hamiltonian(analysis, zeta)
+    _action_store(analysis, zeta)  # checks the image of zeta is hamiltonian
     cols = [
         analysis.potential_of(zeta.matrix.column(i)) for i in range(zeta.source.dim)
     ]
@@ -130,11 +148,19 @@ def obstruction_cocycle(momentum):
     """tau(X,Y) = X.J(Y) - J([X,Y]) with its structural identities asserted.
 
     Values are invariant vectors; tau is closed; tau = d(J) + omega_g.
+    Computed and checked once per momentum map.
     """
+    if momentum._tau is None:
+        object.__setattr__(momentum, "_tau", _derive_tau(momentum))
+    return momentum._tau
+
+
+def _derive_tau(momentum):
     analysis = momentum.analysis
     zeta = momentum.zeta
     g = zeta.source
-    pb = pullback_module(analysis, zeta)
+    omega_g = pullback_cocycle(analysis, zeta)
+    pb = omega_g.module
     J = momentum.matrix
 
     def tau_value(i, j):
@@ -150,15 +176,10 @@ def obstruction_cocycle(momentum):
                 raise HamfluxError("obstruction value escaped the invariants")
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
-    omega_g = pullback_cocycle(analysis, zeta)
     j_cochain = Cochain(pb, 1, tuple(x for i in range(g.dim) for x in J.column(i)))
     if tau != differential(j_cochain) + omega_g:
         raise HamfluxError("tau != d J + omega_g; inconsistent data")
     return tau
-
-
-def _invariants_coords(analysis, vec):
-    return analysis.invariants.coords_of(vec)
 
 
 def trivial_invariants_module(analysis, g):
@@ -166,15 +187,13 @@ def trivial_invariants_module(analysis, g):
     return LieModule.trivial(g, analysis.invariants.dim)
 
 
-def obstruction_as_invariant_cochain(momentum, tau=None):
+def obstruction_as_invariant_cochain(momentum):
     """tau rewritten over the trivial g-module on V^h coordinates."""
     analysis = momentum.analysis
-    g = momentum.g
-    if tau is None:
-        tau = obstruction_cocycle(momentum)
-    triv = trivial_invariants_module(analysis, g)
+    tau = obstruction_cocycle(momentum)
+    triv = trivial_invariants_module(analysis, momentum.g)
     return Cochain.from_values(
-        triv, 2, lambda i, j: _invariants_coords(analysis, tau.value(i, j))
+        triv, 2, lambda i, j: analysis.invariants.coords_of(tau.value(i, j))
     )
 
 
@@ -215,17 +234,62 @@ class ExtensionPresentation:
         kernel_space = Subspace.from_vectors(t.dim, kernel_cols)
         for i in range(t.dim):
             for z in kernel_cols:
-                w = t.bracket(self.total_basis(i), z)
+                w = t.bracket(unit_vector(t.dim, i), z)
                 if central:
                     if any(x != 0 for x in w):
                         raise HamfluxError("kernel is not central")
                 elif not kernel_space.contains(w):
                     raise HamfluxError("kernel is not an ideal")
 
-    def total_basis(self, i):
-        v = [0] * self.total.dim
-        v[i] = 1
-        return vector(v)
+
+def _block_presentation(kind, total, base, k):
+    """The extension with its kernel on the first k coordinates of total and
+    base on the remaining ones."""
+    n = total.dim
+    tail = [unit_vector(n, k + i) for i in range(base.dim)]
+    return ExtensionPresentation(
+        kind=kind,
+        total=total,
+        base=base,
+        kernel_dim=k,
+        injection=Matrix.from_columns([unit_vector(n, i) for i in range(k)], n),
+        projection=Matrix(tail, n),
+        section=Matrix.from_columns(tail, n),
+    )
+
+
+def _semidirect_table(analysis, acting, base, cocycle=None):
+    """Structure table of V_omega x_c base on admissible coordinates followed
+    by base coordinates.
+
+    Base element e_a acts on V_omega through acting[a], a vector of the
+    module's algebra, and [e_a, e_b] = (c(a, b), [e_a, e_b]) for the
+    2-cochain c = cocycle, or zero when it is None.
+    """
+    adm = analysis.admissible
+    k = adm.dim
+    n = k + base.dim
+    tail = zero_vector(base.dim)
+
+    def into_adm(v):
+        try:
+            return adm.coords_of(v)
+        except Unsolvable:
+            raise HamfluxError(
+                "value escaped the admissible vectors; zeta image not hamiltonian"
+            ) from None
+
+    table = [[zero_vector(n)] * n for _ in range(n)]
+    for a, xi in enumerate(acting):
+        for i in range(k):
+            w = into_adm(analysis.module.act(xi, adm.basis.column(i)))
+            table[k + a][i] = w + tail
+            table[i][k + a] = vec_neg(w) + tail
+        for b in range(base.dim):
+            if a != b:
+                head = zero_vector(k) if cocycle is None else into_adm(cocycle.value(a, b))
+                table[k + a][k + b] = head + base.structure[a][b]
+    return tuple(map(tuple, table))
 
 
 def central_extension(momentum):
@@ -238,98 +302,44 @@ def central_extension(momentum):
     table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
     for l in range(g.dim):
         for p in range(g.dim):
-            zpart = _invariants_coords(analysis, tau.value(l, p))
+            zpart = analysis.invariants.coords_of(tau.value(l, p))
             gpart = g.structure[l][p]
             table[k + l][k + p] = vector(zpart + tuple(gpart))
-    total = LieAlgebra(table)
-    return ExtensionPresentation(
-        kind="central",
-        total=total,
-        base=g,
-        kernel_dim=k,
-        injection=_block_injection(n, k),
-        projection=_block_projection(n, k, g.dim),
-        section=_block_section(n, k, g.dim),
-    )
+    return _block_presentation("central", LieAlgebra(table), g, k)
 
 
 def abelian_extension(analysis, zeta):
     """V_omega x_{omega_g} g: semidirect action through zeta plus the
     pullback cocycle in the V_omega slot."""
-    _check_image_hamiltonian(analysis, zeta)
-    g = zeta.source
     omega_g = pullback_cocycle(analysis, zeta)
-    adm = analysis.admissible
-    k2 = adm.dim
-    n = k2 + g.dim
-    table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
-    mod = analysis.module
-
-    def into_adm(v):
-        try:
-            return adm.coords_of(v)
-        except Unsolvable:
-            raise HamfluxError(
-                "value escaped the admissible vectors; zeta image not hamiltonian"
-            ) from None
-
-    for l in range(g.dim):
-        xi = zeta.matrix.column(l)
-        for i in range(k2):
-            w = into_adm(mod.act(xi, adm.basis.column(i)))
-            table[k2 + l][i] = vector(w + (0,) * g.dim)
-            table[i][k2 + l] = vector(tuple(-x for x in w) + (0,) * g.dim)
-        for p in range(g.dim):
-            if l == p:
-                continue
-            zpart = into_adm(omega_g.value(l, p))
-            table[k2 + l][k2 + p] = vector(zpart + tuple(g.structure[l][p]))
-    total = LieAlgebra(table)
-    return ExtensionPresentation(
-        kind="abelian",
-        total=total,
-        base=g,
-        kernel_dim=k2,
-        injection=_block_injection(n, k2),
-        projection=_block_projection(n, k2, g.dim),
-        section=_block_section(n, k2, g.dim),
-    )
+    g = zeta.source
+    total = LieAlgebra(_semidirect_table(analysis, zeta.matrix.columns(), g, omega_g))
+    return _block_presentation("abelian", total, g, analysis.admissible.dim)
 
 
-def _block_injection(n, k):
-    return Matrix.from_columns(
-        [tuple(1 if r == i else 0 for r in range(n)) for i in range(k)], n
-    )
-
-
-def _block_projection(n, k, gdim):
-    return Matrix(
-        [tuple(1 if c == k + i else 0 for c in range(n)) for i in range(gdim)], n
-    )
-
-
-def _block_section(n, k, gdim):
-    return Matrix.from_columns(
-        [tuple(1 if r == k + i else 0 for r in range(n)) for i in range(gdim)], n
-    )
+def _equivalence_columns(momentum):
+    """Base columns (J(e_l) in admissible coordinates, e_l) of the
+    equivalence (v, X) -> (v + J(X), X)."""
+    adm = momentum.analysis.admissible
+    ng = momentum.g.dim
+    return [
+        adm.coords_of(momentum.matrix.column(l)) + unit_vector(ng, l) for l in range(ng)
+    ]
 
 
 def extension_embedding(central, abelian, momentum):
     """The equivalence-compatible embedding V^h x_tau g -> V_omega x_{omega_g} g,
     (z, X) -> (z + J(X), X), verified to preserve brackets."""
     analysis = momentum.analysis
-    k = central.kernel_dim
-    k2 = abelian.kernel_dim
-    g = momentum.g
-    adm = analysis.admissible
-    cols = []
-    for i in range(k):
-        z = analysis.invariants.basis.column(i)
-        cols.append(vector(adm.coords_of(z) + (0,) * g.dim))
-    for l in range(g.dim):
-        jl = adm.coords_of(momentum.matrix.column(l))
-        cols.append(vector(jl + tuple(1 if q == l else 0 for q in range(g.dim))))
-    phi = Matrix.from_columns(cols, k2 + g.dim)
+    inv = analysis.invariants.basis
+    tail = zero_vector(momentum.g.dim)
+    cols = [
+        analysis.admissible.coords_of(inv.column(i)) + tail
+        for i in range(central.kernel_dim)
+    ]
+    phi = Matrix.from_columns(
+        cols + _equivalence_columns(momentum), abelian.kernel_dim + momentum.g.dim
+    )
     AlgebraHom(central.total, abelian.total, phi)  # raises if not bracket-preserving
     return phi
 
@@ -362,7 +372,7 @@ def equivariantize(momentum):
     h2 = cohomology(triv, 2)
     d1 = differential_matrix(triv, 1)
     try:
-        c_flat, _ = _solve(d1, tau_t.coords)
+        c_flat, _ = solve_affine(d1, tau_t.coords)
     except Unsolvable:
         cls = h2.class_of(tau_t)
         return EquivariantizationResult(None, None, tuple(cls), h2.dim)
@@ -378,11 +388,6 @@ def equivariantize(momentum):
         raise HamfluxError("equivariantization failed to kill the obstruction")
     cls = h2.class_of(tau_t)
     return EquivariantizationResult(corrected, shift, tuple(cls), h2.dim)
-
-
-def _solve(matrix, rhs):
-    solver = LinearSolver(matrix)
-    return solver.solve(rhs), solver.kernel()
 
 
 def extended_momentum(momentum, central=None):
@@ -514,38 +519,25 @@ def baer_product(analysis, zeta, momentum=None, central=None):
     nW = k2 + cen.dim
 
     # semidirect sum: cen acts on V_omega through its projection to g
-    table = [[zero_vector(nW) for _ in range(nW)] for _ in range(nW)]
-    for a in range(cen.dim):
-        x = central.projection.column(a)  # image in g
-        xi = zeta.matrix.apply(x)
-        for i in range(k2):
-            w = adm.coords_of(analysis.module.act(xi, adm.basis.column(i)))
-            table[k2 + a][i] = vector(w + (0,) * cen.dim)
-            table[i][k2 + a] = vector(tuple(-q for q in w) + (0,) * cen.dim)
-        for b in range(cen.dim):
-            if a == b:
-                continue
-            table[k2 + a][k2 + b] = vector((0,) * k2 + tuple(cen.structure[a][b]))
-    W = LieAlgebra(table)
+    acting = [zeta.matrix.apply(x) for x in central.projection.columns()]
+    W = LieAlgebra(_semidirect_table(analysis, acting, cen))
 
-    # central antidiagonal {(incl z, -z, 0)}
-    anti = []
-    for j in range(k):
-        z = analysis.invariants.basis.column(j)
-        w_part = adm.coords_of(z)  # V^h sits inside V_omega
-        z_part = tuple(-1 if q == j else 0 for q in range(k))
-        anti.append(vector(w_part + z_part + (0,) * ng))
+    # central antidiagonal {(incl z, -z, 0)}; V^h sits inside V_omega
+    anti = [
+        adm.coords_of(analysis.invariants.basis.column(j))
+        + vec_neg(unit_vector(k, j))
+        + zero_vector(ng)
+        for j in range(k)
+    ]
     delta = Subspace.from_vectors(nW, anti)
     for v in delta.basis.columns():
         for i in range(nW):
-            if not all(
-                x == 0 for x in W.bracket(_unit(nW, i), v)
-            ):
+            if not all(x == 0 for x in W.bracket(unit_vector(nW, i), v)):
                 raise HamfluxError("antidiagonal is not central")
 
     q = quotient_map(nW, delta)
     qs = LinearSolver(q)
-    sections = [qs.solve(_unit(nW - k, i)) for i in range(nW - k)]
+    sections = [qs.solve(unit_vector(nW - k, i)) for i in range(nW - k)]
 
     def q_bracket(u, v):
         return q.apply(W.bracket(u, v))
@@ -557,8 +549,8 @@ def baer_product(analysis, zeta, momentum=None, central=None):
     LieAlgebra(quotient_table)  # validity of the literal quotient
 
     # re-coordinate on V_omega + g
-    e_cols = [q.apply(_unit(nW, i)) for i in range(k2)]
-    e_cols += [q.apply(_unit(nW, k2 + k + l)) for l in range(ng)]
+    e_cols = [q.apply(unit_vector(nW, i)) for i in range(k2)]
+    e_cols += [q.apply(unit_vector(nW, k2 + k + l)) for l in range(ng)]
     E = Matrix.from_columns(e_cols, nW - k)
     E_inv = E.inverse()
 
@@ -573,47 +565,17 @@ def baer_product(analysis, zeta, momentum=None, central=None):
     n_final = k2 + ng
     final_table = [[final_bracket(i, j) for j in range(n_final)] for i in range(n_final)]
     total = LieAlgebra(final_table)
-
-    result = ExtensionPresentation(
-        kind="baer",
-        total=total,
-        base=g,
-        kernel_dim=k2,
-        injection=_block_injection(n_final, k2),
-        projection=_block_projection(n_final, k2, ng),
-        section=_block_section(n_final, k2, ng),
-    )
+    result = _block_presentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
     tau = obstruction_cocycle(momentum)
-    expected_table = [[zero_vector(n_final) for _ in range(n_final)] for _ in range(n_final)]
-    for l in range(ng):
-        xi = zeta.matrix.column(l)
-        for i in range(k2):
-            w = adm.coords_of(analysis.module.act(xi, adm.basis.column(i)))
-            expected_table[k2 + l][i] = vector(w + (0,) * ng)
-            expected_table[i][k2 + l] = vector(tuple(-x for x in w) + (0,) * ng)
-        for p in range(ng):
-            if l == p:
-                continue
-            zpart = adm.coords_of(tau.value(l, p))
-            expected_table[k2 + l][k2 + p] = vector(zpart + tuple(g.structure[l][p]))
-    if total != LieAlgebra(expected_table):
+    if total.structure != _semidirect_table(analysis, zeta.matrix.columns(), g, tau):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 
     ab = abelian_extension(analysis, zeta)
-    cols = []
-    for i in range(k2):
-        cols.append(_unit(n_final, i))
-    for l in range(ng):
-        jl = adm.coords_of(momentum.matrix.column(l))
-        cols.append(vector(jl + tuple(1 if t == l else 0 for t in range(ng))))
+    cols = [unit_vector(n_final, i) for i in range(k2)] + _equivalence_columns(momentum)
     psi = Matrix.from_columns(cols, n_final)
     AlgebraHom(total, ab.total, psi)  # equivalence is an algebra map
     if psi.rank() != n_final:
         raise HamfluxError("equivalence is not invertible")
     return BaerProductResult(result, ab, psi, momentum)
-
-
-def _unit(n, i):
-    return vector(tuple(1 if q == i else 0 for q in range(n)))

@@ -155,6 +155,8 @@ def _rational(x, path):
             return Fraction(x)
         except ZeroDivisionError:
             _fail(path, "zero denominator")
+        except ValueError:  # past the int/str conversion digit limit
+            _fail(path, "rational has too many digits")
     _fail(path, "expected a rational")
 
 
@@ -405,7 +407,9 @@ def parse_problem(text):
     """Parse a UTF-8 JSON document into a validated ProblemFile."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides malformed JSON: an integer literal past the int/str
+        # conversion digit limit, or nesting deeper than the recursion limit
         _fail("$", f"invalid JSON: {exc}")
     return parse_document(doc)
 

@@ -115,6 +115,31 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.value.code == 1
 
 
+def _heis3_with(old, new):
+    text = (DATA / "heis3.json").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (_heis3_with('["-1", "0", "0"]', '["%s", "0", "0"]' % ("7" * 5000)),
+         "$.module.action[1][2][0]"),
+        (_heis3_with('[0, 1, "-1", 2]', "[0, 1, %s, 2]" % ("7" * 5000)), "$"),
+        ("[" * 100000, "$"),
+    ],
+    ids=["long-rational", "long-integer-literal", "deep-nesting"],
+)
+def test_hostile_document_exits_2(capsys, tmp_path, text, path):
+    doc = tmp_path / "hostile.json"
+    doc.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", doc)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_extend_central_gives_heis3_constants(capsys):
     code, out, _ = run(capsys, "extend", DATA / "heis3.json", "--kind", "cen")
     assert code == 0

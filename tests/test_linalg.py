@@ -1,11 +1,15 @@
 """Exact linear algebra: frozen oracles and algebraic laws."""
 
+import copy
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamflux._backend import rref_ints
 from hamflux.errors import Unsolvable
 from hamflux.linalg import (
     LinearSolver,
@@ -187,3 +191,60 @@ def test_matrix_is_immutable():
     m = Matrix([[1]])
     with pytest.raises(AttributeError):
         m.entries = ()
+
+
+# -- elimination kernel -------------------------------------------------------
+
+def random_rows(rng, nrows, ncols, bound=9, density=0.7):
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def check_contract(reduced, pivots):
+    assert len(reduced) == len(pivots)
+    assert pivots == sorted(pivots)
+    for row, pc in zip(reduced, pivots):
+        assert row[pc] > 0
+        g = 0
+        for x in row:
+            g = gcd(g, x)
+        assert g in (0, 1), "rows must be primitive"
+        for other_pc in pivots:
+            if other_pc != pc:
+                assert row[other_pc] == 0
+
+
+def test_pure_kernel_contract():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows = random_rows(rng, rng.randint(0, 7), rng.randint(1, 8))
+        ncols = len(rows[0]) if rows else 3
+        reduced, pivots = rref_ints(copy.deepcopy(rows), ncols)
+        check_contract(reduced, pivots)
+
+
+def test_rational_rref_is_idempotent():
+    # denominators survive the scaling into the kernel and back
+    rng = random.Random(5)
+    for _ in range(30):
+        m = Matrix(
+            [
+                [f"{rng.randint(-6, 6)}/{rng.randint(1, 7)}" for _ in range(5)]
+                for _ in range(4)
+            ]
+        )
+        r = rref(m)
+        # rref is idempotent and preserves the row space dimension
+        assert rref(r) == r
+        assert r.rank() == m.rank()
+
+
+def test_bignum_entries_stay_exact():
+    # fraction-free elimination must not overflow or round anywhere
+    big = 10**40
+    rows = [[big, 1, 0], [1, big, 0], [0, 0, big**2]]
+    reduced, pivots = rref_ints(rows, 3)
+    assert pivots == [0, 1, 2]
+    assert reduced == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -10,6 +10,7 @@ equivariant, so every obstruction-level object collapses.
 
 import pytest
 
+import hamflux.momentum
 from hamflux.cochain import Cochain
 from hamflux.errors import (
     HamfluxError,
@@ -306,3 +307,26 @@ def test_extension_presentation_validation():
             projection=Matrix([[1, 0, 0], [0, 1, 0]]),
             section=Matrix([[1, 0], [0, 1], [0, 0]]),
         )
+
+
+def test_derived_once_per_action(monkeypatch):
+    builds = []
+    build = hamflux.momentum.pullback_module
+
+    def counting(analysis, zeta):
+        builds.append(zeta)
+        return build(analysis, zeta)
+
+    monkeypatch.setattr(hamflux.momentum, "pullback_module", counting)
+    module, omega = heis_pair_instance()
+    analysis = analyze(module, omega)
+    zeta = AlgebraHom.identity(module.algebra)
+    momentum, _ = solve_momentum(analysis, zeta)
+    equivariantize(momentum)
+    central_extension(momentum)
+    abelian_extension(analysis, zeta)
+    baer_product(analysis, zeta, momentum=momentum)
+    # the store is keyed by value: an equal action reuses it
+    abelian_extension(analysis, AlgebraHom(zeta.source, zeta.target, zeta.matrix))
+    assert len(builds) == 1
+    assert obstruction_cocycle(momentum) is obstruction_cocycle(momentum)
