@@ -94,10 +94,6 @@ class NotPrimitive(HamfluxError):
     """Supplied 1-cochain is not a primitive of omega (d_h alpha != omega)."""
 
 
-class KernelMismatch(HamfluxError):
-    """Supplied central extension kernel does not match the invariant vectors."""
-
-
 # -- group-level data ---------------------------------------------------------
 
 class NotAutomorphism(HamfluxError):

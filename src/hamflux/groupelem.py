@@ -164,7 +164,7 @@ def group_cocycle_check(g1, g2, momentum):
     return lhs == rhs
 
 
-def adjoint_on_extension(element, momentum, central=None):
+def adjoint_on_extension(element, momentum):
     """The operator (z, X) -> (z + kappa(g)(Ad X), Ad X) on V^h x_tau g.
 
     Verified to be an automorphism of the central extension that fixes the
@@ -172,8 +172,7 @@ def adjoint_on_extension(element, momentum, central=None):
     """
     analysis = momentum.analysis
     g = momentum.g
-    if central is None:
-        central = central_extension(momentum)
+    central = central_extension(momentum)
     k = central.kernel_dim
     K = group_cocycle(element, momentum)
     kappa_ad = K * element.ad
@@ -192,7 +191,7 @@ def adjoint_on_extension(element, momentum, central=None):
                 raise HamfluxError(
                     "extension adjoint is not an automorphism; inconsistent element"
                 )
-    hat = extended_momentum(momentum, central=central)
+    hat = extended_momentum(momentum)
     if hat.matrix * out != element.rho_v * hat.matrix:
         raise HamfluxError(
             "extension adjoint does not intertwine the extended momentum map"

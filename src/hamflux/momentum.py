@@ -29,14 +29,12 @@ from hamflux.errors import (
     HamfluxError,
     ImageNotHamiltonian,
     InvariantViolation,
-    KernelMismatch,
     NotPrimitive,
     Unsolvable,
 )
 from hamflux.hamiltonian import hamiltonian_pair, pair_bracket
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import (
-    LinearSolver,
     Matrix,
     Subspace,
     hstack,
@@ -94,7 +92,7 @@ def pullback_cocycle(analysis, zeta):
 class MomentumMap:
     """A validated momentum map: d(J X) = i_{zeta X} omega for every basis X."""
 
-    __slots__ = ("analysis", "zeta", "matrix", "_tau")
+    __slots__ = ("analysis", "zeta", "matrix", "_cache")
 
     def __init__(self, analysis, zeta, matrix):
         matrix = matrix if isinstance(matrix, Matrix) else Matrix(matrix)
@@ -110,7 +108,7 @@ class MomentumMap:
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_tau", None)  # set by obstruction_cocycle
+        object.__setattr__(self, "_cache", {})  # objects derived once from the map
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentumMap is immutable")
@@ -150,9 +148,10 @@ def obstruction_cocycle(momentum):
     Values are invariant vectors; tau is closed; tau = d(J) + omega_g.
     Computed and checked once per momentum map.
     """
-    if momentum._tau is None:
-        object.__setattr__(momentum, "_tau", _derive_tau(momentum))
-    return momentum._tau
+    cache = momentum._cache
+    if "tau" not in cache:
+        cache["tau"] = _derive_tau(momentum)
+    return cache["tau"]
 
 
 def _derive_tau(momentum):
@@ -188,13 +187,17 @@ def trivial_invariants_module(analysis, g):
 
 
 def obstruction_as_invariant_cochain(momentum):
-    """tau rewritten over the trivial g-module on V^h coordinates."""
-    analysis = momentum.analysis
-    tau = obstruction_cocycle(momentum)
-    triv = trivial_invariants_module(analysis, momentum.g)
-    return Cochain.from_values(
-        triv, 2, lambda i, j: analysis.invariants.coords_of(tau.value(i, j))
-    )
+    """tau rewritten over the trivial g-module on V^h coordinates, once per
+    momentum map."""
+    cache = momentum._cache
+    if "tau_invariant" not in cache:
+        analysis = momentum.analysis
+        tau = obstruction_cocycle(momentum)
+        triv = trivial_invariants_module(analysis, momentum.g)
+        cache["tau_invariant"] = Cochain.from_values(
+            triv, 2, lambda i, j: analysis.invariants.coords_of(tau.value(i, j))
+        )
+    return cache["tau_invariant"]
 
 
 # -- extensions ----------------------------------------------------------------
@@ -293,28 +296,34 @@ def _semidirect_table(analysis, acting, base, cocycle=None):
 
 
 def central_extension(momentum):
-    """V^h x_tau g with bracket ((z1,X1),(z2,X2)) -> (tau(X1,X2), [X1,X2])."""
-    analysis = momentum.analysis
-    g = momentum.g
-    tau = obstruction_cocycle(momentum)
-    k = analysis.invariants.dim
-    n = k + g.dim
-    table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
-    for l in range(g.dim):
-        for p in range(g.dim):
-            zpart = analysis.invariants.coords_of(tau.value(l, p))
-            gpart = g.structure[l][p]
-            table[k + l][k + p] = vector(zpart + tuple(gpart))
-    return _block_presentation("central", LieAlgebra(table), g, k)
+    """V^h x_tau g with bracket ((z1,X1),(z2,X2)) -> (tau(X1,X2), [X1,X2]),
+    built once per momentum map."""
+    cache = momentum._cache
+    if "central" not in cache:
+        g = momentum.g
+        tau_t = obstruction_as_invariant_cochain(momentum)
+        k = tau_t.module.dim
+        n = k + g.dim
+        table = [[zero_vector(n)] * n for _ in range(n)]
+        for l in range(g.dim):
+            for p in range(g.dim):
+                table[k + l][k + p] = tau_t.value(l, p) + g.structure[l][p]
+        cache["central"] = _block_presentation("central", LieAlgebra(table), g, k)
+    return cache["central"]
 
 
 def abelian_extension(analysis, zeta):
     """V_omega x_{omega_g} g: semidirect action through zeta plus the
-    pullback cocycle in the V_omega slot."""
-    omega_g = pullback_cocycle(analysis, zeta)
-    g = zeta.source
-    total = LieAlgebra(_semidirect_table(analysis, zeta.matrix.columns(), g, omega_g))
-    return _block_presentation("abelian", total, g, analysis.admissible.dim)
+    pullback cocycle in the V_omega slot, built once per (analysis, zeta)."""
+    store = _action_store(analysis, zeta)
+    if "abelian" not in store:
+        omega_g = pullback_cocycle(analysis, zeta)
+        g = zeta.source
+        table = _semidirect_table(analysis, zeta.matrix.columns(), g, omega_g)
+        store["abelian"] = _block_presentation(
+            "abelian", LieAlgebra(table), g, analysis.admissible.dim
+        )
+    return store["abelian"]
 
 
 def _equivalence_columns(momentum):
@@ -327,10 +336,12 @@ def _equivalence_columns(momentum):
     ]
 
 
-def extension_embedding(central, abelian, momentum):
+def extension_embedding(momentum):
     """The equivalence-compatible embedding V^h x_tau g -> V_omega x_{omega_g} g,
     (z, X) -> (z + J(X), X), verified to preserve brackets."""
     analysis = momentum.analysis
+    central = central_extension(momentum)
+    abelian = abelian_extension(analysis, momentum.zeta)
     inv = analysis.invariants.basis
     tail = zero_vector(momentum.g.dim)
     cols = [
@@ -390,15 +401,11 @@ def equivariantize(momentum):
     return EquivariantizationResult(corrected, shift, tuple(cls), h2.dim)
 
 
-def extended_momentum(momentum, central=None):
+def extended_momentum(momentum):
     """hat J on V^h x_tau g: (z, X) -> z + J(X), an equivariant momentum map
     for the extended action (z, X) -> zeta(X)."""
     analysis = momentum.analysis
-    g = momentum.g
-    if central is None:
-        central = central_extension(momentum)
-    if central.kernel_dim != analysis.invariants.dim:
-        raise KernelMismatch("central extension kernel is not V^h")
+    central = central_extension(momentum)
     hat = hstack(analysis.invariants.basis, momentum.matrix)
     # momentum property for the extended action
     hat_alg = central.total
@@ -493,7 +500,7 @@ class BaerProductResult:
     momentum: MomentumMap
 
 
-def baer_product(analysis, zeta, momentum=None, central=None):
+def baer_product(analysis, zeta, momentum=None):
     """Baer product of V^h x_tau g with V_omega x g, built literally.
 
     Forms the semidirect sum W = V_omega x (V^h x_tau g) where the central
@@ -504,15 +511,14 @@ def baer_product(analysis, zeta, momentum=None, central=None):
     """
     if momentum is None:
         momentum, _ = solve_momentum(analysis, zeta)
-    if central is None:
-        central = central_extension(momentum)
-    k = analysis.invariants.dim
-    if central.kernel_dim != k:
-        raise KernelMismatch("central extension kernel dimension is not dim V^h")
-    if central.base != momentum.g:
-        raise KernelMismatch("central extension base does not match g")
+    elif momentum.analysis is not analysis or (
+        (momentum.zeta.source, momentum.zeta.matrix) != (zeta.source, zeta.matrix)
+    ):
+        raise ValueError("momentum map belongs to a different action")
+    central = central_extension(momentum)
     g = momentum.g
     adm = analysis.admissible
+    k = analysis.invariants.dim
     k2 = adm.dim
     ng = g.dim
     cen = central.total
@@ -535,36 +541,16 @@ def baer_product(analysis, zeta, momentum=None, central=None):
             if not all(x == 0 for x in W.bracket(unit_vector(nW, i), v)):
                 raise HamfluxError("antidiagonal is not central")
 
+    # The antidiagonal is central, so the bracket of two classes does not
+    # depend on their representatives. The classes E of the basis vectors at
+    # the V_omega and g slots of W are a basis of the quotient, and E^-1 q
+    # re-coordinates it on V_omega + g.
     q = quotient_map(nW, delta)
-    qs = LinearSolver(q)
-    sections = [qs.solve(unit_vector(nW - k, i)) for i in range(nW - k)]
-
-    def q_bracket(u, v):
-        return q.apply(W.bracket(u, v))
-
-    quotient_table = [
-        [q_bracket(sections[i], sections[j]) for j in range(nW - k)]
-        for i in range(nW - k)
-    ]
-    LieAlgebra(quotient_table)  # validity of the literal quotient
-
-    # re-coordinate on V_omega + g
-    e_cols = [q.apply(unit_vector(nW, i)) for i in range(k2)]
-    e_cols += [q.apply(unit_vector(nW, k2 + k + l)) for l in range(ng)]
-    E = Matrix.from_columns(e_cols, nW - k)
-    E_inv = E.inverse()
-
-    def final_bracket(i, j):
-        u = E.column(i)
-        v = E.column(j)
-        # pull back through the quotient: solve q s = u
-        su = qs.solve(u)
-        sv = qs.solve(v)
-        return E_inv.apply(q.apply(W.bracket(su, sv)))
-
-    n_final = k2 + ng
-    final_table = [[final_bracket(i, j) for j in range(n_final)] for i in range(n_final)]
-    total = LieAlgebra(final_table)
+    slots = list(range(k2)) + [k2 + k + l for l in range(ng)]
+    to_final = Matrix.from_columns([q.column(a) for a in slots], nW - k).inverse() * q
+    total = LieAlgebra(
+        [[to_final.apply(W.structure[a][b]) for b in slots] for a in slots]
+    )
     result = _block_presentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
@@ -573,6 +559,7 @@ def baer_product(analysis, zeta, momentum=None, central=None):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 
     ab = abelian_extension(analysis, zeta)
+    n_final = len(slots)
     cols = [unit_vector(n_final, i) for i in range(k2)] + _equivalence_columns(momentum)
     psi = Matrix.from_columns(cols, n_final)
     AlgebraHom(total, ab.total, psi)  # equivalence is an algebra map

@@ -28,6 +28,12 @@ from .linalg import Matrix, rat_str
 
 SCHEMA = "hamflux/1"
 
+# Largest accepted dimension of an algebra or module. Analysis assembles the
+# degree-2 differential, a dense matrix of C(n,3)*m x C(n,2)*m entries, so
+# dimensions are bounded before anything is allocated; 16 admits
+# matrix_algebra_example(4) (sl4 acting on all 4x4 matrices).
+MAX_DIM = 16
+
 _TOP_KEYS = (
     "schema",
     "lie_algebra",
@@ -177,14 +183,21 @@ def _grid(x, path, nrows, ncols):
     )
 
 
-def _parse_algebra(block, path):
-    _object(block, path)
-    _known_keys(block, path, ("dim", "structure"))
+def _dim(block, path):
     if "dim" not in block:
         _fail(f"{path}.dim", "missing")
     n = _int(block["dim"], f"{path}.dim")
     if n < 0:
         _invalid(f"{path}.dim", "dimension must be nonnegative")
+    if n > MAX_DIM:
+        _invalid(f"{path}.dim", f"dimension {n} exceeds the limit {MAX_DIM}")
+    return n
+
+
+def _parse_algebra(block, path):
+    _object(block, path)
+    _known_keys(block, path, ("dim", "structure"))
+    n = _dim(block, path)
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for r, row in enumerate(_list(block.get("structure", []), f"{path}.structure")):
@@ -216,11 +229,7 @@ def _parse_algebra(block, path):
 def _parse_module(block, path, algebra):
     _object(block, path)
     _known_keys(block, path, ("dim", "action"))
-    if "dim" not in block:
-        _fail(f"{path}.dim", "missing")
-    m = _int(block["dim"], f"{path}.dim")
-    if m < 0:
-        _invalid(f"{path}.dim", "dimension must be nonnegative")
+    m = _dim(block, path)
     grids = _list(block.get("action", []), f"{path}.action")
     if len(grids) != algebra.dim:
         _fail(

@@ -366,7 +366,7 @@ def test_group_element_family(heis):
             assert analysis.invariants.contains(K.column(i))
         assert K == Matrix([[0, 0], [0, 0], [0, t]])
         assert K * g.ad == -1 * group_cocycle(inverse(g), momentum)
-        A = adjoint_on_extension(g, momentum, central=cen)
+        A = adjoint_on_extension(g, momentum)
         total = cen.total
         for i in range(total.dim):
             for j in range(i + 1, total.dim):

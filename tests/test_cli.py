@@ -1,18 +1,22 @@
 """Command-line behavior: outputs, determinism, and the exit-code contract."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflux.cli import main
 from hamflux.liealg import AlgebraHom, LieAlgebra
 from hamflux.linalg import Matrix
-from hamflux.problemfile import parse_problem
+from hamflux.problemfile import MAX_DIM, parse_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,6 +125,16 @@ def _heis3_with(old, new):
     return text.replace(old, new)
 
 
+def _document(**blocks):
+    return json.dumps({"schema": "hamflux/1", **blocks})
+
+
+def _heis3_zeta_source_dim(dim):
+    doc = json.loads((DATA / "heis3.json").read_text(encoding="utf-8"))
+    doc["zeta"]["g_algebra"] = {"dim": dim}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text, path",
     [
@@ -128,8 +142,21 @@ def _heis3_with(old, new):
          "$.module.action[1][2][0]"),
         (_heis3_with('[0, 1, "-1", 2]', "[0, 1, %s, 2]" % ("7" * 5000)), "$"),
         ("[" * 100000, "$"),
+        (_document(lie_algebra={"dim": 10**12}), "$.lie_algebra.dim"),
+        (_document(lie_algebra={"dim": MAX_DIM + 1}), "$.lie_algebra.dim"),
+        (_document(lie_algebra={"dim": 0}, module={"dim": 10**12, "action": []}),
+         "$.module.dim"),
+        (_heis3_zeta_source_dim(10**12), "$.zeta.g_algebra.dim"),
     ],
-    ids=["long-rational", "long-integer-literal", "deep-nesting"],
+    ids=[
+        "long-rational",
+        "long-integer-literal",
+        "deep-nesting",
+        "huge-algebra-dim",
+        "algebra-dim-past-limit",
+        "huge-module-dim",
+        "huge-zeta-source-dim",
+    ],
 )
 def test_hostile_document_exits_2(capsys, tmp_path, text, path):
     doc = tmp_path / "hostile.json"
@@ -138,6 +165,17 @@ def test_hostile_document_exits_2(capsys, tmp_path, text, path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+
+
+def test_dimensions_at_the_limit_parse(capsys, tmp_path):
+    doc = tmp_path / "limit.json"
+    for text in (
+        _document(lie_algebra={"dim": MAX_DIM}),
+        _document(lie_algebra={"dim": 0}, module={"dim": MAX_DIM, "action": []}),
+    ):
+        doc.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "validate", doc)
+        assert code == 0, err
 
 
 def test_extend_central_gives_heis3_constants(capsys):
@@ -364,3 +402,102 @@ def test_emitted_document_round_trips_by_command(capsys):
         code3, out3, _ = run_file(capsys, out, "validate", "--json")
         assert code3 == 0
         assert json.loads(out3)["lie_algebra_dim"] == pf.algebra.dim
+
+
+# -- the exit-code contract on generated documents ------------------------------
+
+# repeated options weight the draws towards documents that get past the parser
+ENTRY = st.sampled_from(["0", "0", "1", "-1", "1/2", "-3/2"])
+DIM = st.sampled_from([0, 1, 1, 1, 2, 2, 2, 2, 3, 3, -1, MAX_DIM + 1, 10**12])
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+)
+COMMANDS = [
+    ["validate"],
+    ["analyze", "--seed", "1"],
+    ["momentum", "--json"],
+    ["extend", "--kind", "cen"],
+    ["extend", "--kind", "ab"],
+    ["extend", "--kind", "baer"],
+    ["noether"],
+]
+
+
+def _grid(nrows, ncols):
+    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    zero = [["0"] * ncols for _ in range(nrows)]
+    return st.one_of(st.just(zero), st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def _index(dim):
+    """Mostly in range, sometimes just outside it."""
+    return st.sampled_from([*range(dim)] * 8 + [-1, dim])
+
+
+def _rows(row):
+    return st.one_of(st.just([]), st.lists(row, min_size=1, max_size=2))
+
+
+@st.composite
+def documents(draw):
+    """Documents near the schema: small dims, a few past the limit, sparse
+    tables with indices just out of range, and junk in place of a block."""
+    n, m, k = draw(DIM), draw(DIM), draw(DIM)
+    # blocks for an out-of-range dim are shaped as if it were 2
+    ns, ms, ks = (d if 0 <= d <= 3 else 2 for d in (n, m, k))
+    i = _index(ns)
+    doc = {
+        "schema": "hamflux/1",
+        "lie_algebra": {
+            "dim": n,
+            "structure": draw(_rows(st.tuples(i, i, i, ENTRY).map(list))),
+        },
+    }
+    if draw(st.booleans()):
+        doc["module"] = {"dim": m, "action": [draw(_grid(ms, ms)) for _ in range(ns)]}
+    else:
+        ms = 1  # the default trivial module
+    omega_row = st.tuples(i, i, ENTRY, _index(ms)).map(list)
+    doc["omega"] = draw(_rows(omega_row))
+    gs = ns
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            doc["zeta"] = draw(_grid(ns, ns))
+        else:
+            gs = ks
+            doc["zeta"] = {"matrix": draw(_grid(ns, ks)), "g_algebra": {"dim": k}}
+        if draw(st.booleans()):
+            doc["momentum"] = draw(_grid(ms, gs))
+        if draw(st.booleans()):
+            doc["group_elements"] = [
+                {"label": "g", "ad": draw(_grid(gs, gs)), "rho_v": draw(_grid(ms, ms))}
+            ]
+    if draw(st.booleans()):
+        doc["noether"] = {
+            "invariant_flow": {
+                "subalgebra": draw(_grid(draw(st.integers(0, 2)), ns)),
+                "v": draw(st.lists(ENTRY, min_size=ms, max_size=ms)),
+                "xi": draw(st.lists(ENTRY, min_size=ns, max_size=ns)),
+            }
+        }
+    if draw(st.integers(0, 3)) == 3:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents(), st.sampled_from(COMMANDS))
+def test_generated_documents_keep_the_exit_code_contract(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")

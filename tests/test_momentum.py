@@ -16,7 +16,6 @@ from hamflux.errors import (
     HamfluxError,
     ImageNotHamiltonian,
     InvariantViolation,
-    KernelMismatch,
     NotPrimitive,
 )
 from hamflux.hamiltonian import analyze
@@ -122,9 +121,7 @@ def test_heis_abelian_extension(heis):
 
 def test_heis_embedding_of_central_in_abelian(heis):
     analysis, zeta, momentum, _ = heis
-    cen = central_extension(momentum)
-    ab = abelian_extension(analysis, zeta)
-    phi = extension_embedding(cen, ab, momentum)
+    phi = extension_embedding(momentum)
     assert phi.column(0) == (0, 0, 1, 0, 0)
     assert phi.column(1) == (1, 0, 0, 1, 0)
     assert phi.column(2) == (0, 1, 0, 0, 1)
@@ -243,21 +240,15 @@ def test_momentum_matrix_validation(heis):
         MomentumMap(analysis, zeta, Matrix.zeros(2, 2))
 
 
-def test_kernel_mismatch(heis):
+def test_baer_product_rejects_momentum_of_another_action(heis):
     analysis, zeta, momentum, _ = heis
-    bogus = ExtensionPresentation(
-        kind="central",
-        total=LieAlgebra.abelian(4),
-        base=LieAlgebra.abelian(2),
-        kernel_dim=2,
-        injection=Matrix([[1, 0], [0, 1], [0, 0], [0, 0]]),
-        projection=Matrix([[0, 0, 1, 0], [0, 0, 0, 1]]),
-        section=Matrix([[0, 0], [0, 0], [1, 0], [0, 1]]),
-    )
-    with pytest.raises(KernelMismatch):
-        baer_product(analysis, zeta, momentum, central=bogus)
-    with pytest.raises(KernelMismatch):
-        extended_momentum(momentum, central=bogus)
+    h = zeta.source
+    swap = AlgebraHom(h, h, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="different action"):
+        baer_product(analysis, swap, momentum=momentum)
+    other = analyze(*heis_pair_instance())
+    with pytest.raises(ValueError, match="different action"):
+        baer_product(other, zeta, momentum=momentum)
 
 
 def test_coboundary_trivialization():
@@ -330,3 +321,8 @@ def test_derived_once_per_action(monkeypatch):
     abelian_extension(analysis, AlgebraHom(zeta.source, zeta.target, zeta.matrix))
     assert len(builds) == 1
     assert obstruction_cocycle(momentum) is obstruction_cocycle(momentum)
+    assert central_extension(momentum) is central_extension(momentum)
+    assert abelian_extension(analysis, zeta) is abelian_extension(analysis, zeta)
+    assert baer_product(analysis, zeta, momentum=momentum).abelian is abelian_extension(
+        analysis, zeta
+    )
