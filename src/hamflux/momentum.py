@@ -181,11 +181,6 @@ def _derive_tau(momentum):
     return tau
 
 
-def trivial_invariants_module(analysis, g):
-    """g acting trivially on V^h coordinates."""
-    return LieModule.trivial(g, analysis.invariants.dim)
-
-
 def obstruction_as_invariant_cochain(momentum):
     """tau rewritten over the trivial g-module on V^h coordinates, once per
     momentum map."""
@@ -193,7 +188,8 @@ def obstruction_as_invariant_cochain(momentum):
     if "tau_invariant" not in cache:
         analysis = momentum.analysis
         tau = obstruction_cocycle(momentum)
-        triv = trivial_invariants_module(analysis, momentum.g)
+        # g acting trivially on V^h coordinates
+        triv = LieModule.trivial(momentum.g, analysis.invariants.dim)
         cache["tau_invariant"] = Cochain.from_values(
             triv, 2, lambda i, j: analysis.invariants.coords_of(tau.value(i, j))
         )
@@ -403,23 +399,19 @@ def equivariantize(momentum):
 
 def extended_momentum(momentum):
     """hat J on V^h x_tau g: (z, X) -> z + J(X), an equivariant momentum map
-    for the extended action (z, X) -> zeta(X)."""
-    analysis = momentum.analysis
-    central = central_extension(momentum)
-    hat = hstack(analysis.invariants.basis, momentum.matrix)
-    # momentum property for the extended action
-    hat_alg = central.total
-    zeta_hat_cols = []
-    for i in range(hat_alg.dim):
-        x = central.projection.column(i)
-        zeta_hat_cols.append(momentum.zeta.matrix.apply(x))
-    zeta_hat = AlgebraHom(
-        hat_alg, analysis.module.algebra, Matrix.from_columns(zeta_hat_cols, analysis.module.algebra.dim)
-    )
-    hat_momentum = MomentumMap(analysis, zeta_hat, hat)
-    if not obstruction_cocycle(hat_momentum).is_zero():
-        raise HamfluxError("extended momentum map failed equivariance")
-    return hat_momentum
+    for the extended action (z, X) -> zeta(X), built once per momentum map."""
+    cache = momentum._cache
+    if "extended" not in cache:
+        analysis = momentum.analysis
+        central = central_extension(momentum)
+        zeta_hat_matrix = momentum.zeta.matrix * central.projection
+        zeta_hat = AlgebraHom(central.total, analysis.module.algebra, zeta_hat_matrix)
+        hat = hstack(analysis.invariants.basis, momentum.matrix)
+        hat_momentum = MomentumMap(analysis, zeta_hat, hat)
+        if not obstruction_cocycle(hat_momentum).is_zero():
+            raise HamfluxError("extended momentum map failed equivariance")
+        cache["extended"] = hat_momentum
+    return cache["extended"]
 
 
 def coboundary_trivialization(momentum, alpha):

@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .cochain import Cochain
 from .errors import HamfluxError, ParseError, ValidationError
@@ -28,11 +29,16 @@ from .linalg import Matrix, rat_str
 
 SCHEMA = "hamflux/1"
 
-# Largest accepted dimension of an algebra or module. Analysis assembles the
-# degree-2 differential, a dense matrix of C(n,3)*m x C(n,2)*m entries, so
-# dimensions are bounded before anything is allocated; 16 admits
-# matrix_algebra_example(4) (sl4 acting on all 4x4 matrices).
+# Dimension limits, checked before anything of that size is allocated. The
+# module and g (the algebra zeta acts through) have dim at most MAX_DIM, which
+# admits matrix_algebra_example(4); lie_algebra.dim may be twice that, so an
+# extension `extend` emits (dim g + at most the module's dim) parses again.
+# C(n,3)*m, the row count of the dense degree-2 differential analysis builds
+# for an n-dim algebra on an m-dim module, is at most MAX_DIFFERENTIAL_ROWS.
+# That caps the matrix at 8960 x 1920 entries (n = m = 16) but not the time
+# analysis spends on it, which near the limits is very long.
 MAX_DIM = 16
+MAX_DIFFERENTIAL_ROWS = comb(MAX_DIM, 3) * MAX_DIM
 
 _TOP_KEYS = (
     "schema",
@@ -183,21 +189,21 @@ def _grid(x, path, nrows, ncols):
     )
 
 
-def _dim(block, path):
+def _dim(block, path, limit):
     if "dim" not in block:
         _fail(f"{path}.dim", "missing")
     n = _int(block["dim"], f"{path}.dim")
     if n < 0:
         _invalid(f"{path}.dim", "dimension must be nonnegative")
-    if n > MAX_DIM:
-        _invalid(f"{path}.dim", f"dimension {n} exceeds the limit {MAX_DIM}")
+    if n > limit:
+        _invalid(f"{path}.dim", f"dimension {n} exceeds the limit {limit}")
     return n
 
 
-def _parse_algebra(block, path):
+def _parse_algebra(block, path, limit):
     _object(block, path)
     _known_keys(block, path, ("dim", "structure"))
-    n = _dim(block, path)
+    n = _dim(block, path, limit)
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for r, row in enumerate(_list(block.get("structure", []), f"{path}.structure")):
@@ -229,7 +235,11 @@ def _parse_algebra(block, path):
 def _parse_module(block, path, algebra):
     _object(block, path)
     _known_keys(block, path, ("dim", "action"))
-    m = _dim(block, path)
+    m = _dim(block, path, MAX_DIM)
+    rows = comb(algebra.dim, 3) * m
+    if rows > MAX_DIFFERENTIAL_ROWS:
+        detail = f"C({algebra.dim},3)*{m} = {rows} differential rows exceed the limit"
+        _invalid(f"{path}.dim", f"{detail} {MAX_DIFFERENTIAL_ROWS}")
     grids = _list(block.get("action", []), f"{path}.action")
     if len(grids) != algebra.dim:
         _fail(
@@ -286,8 +296,10 @@ def _parse_zeta(block, path, algebra):
             _fail(f"{path}.matrix", "missing")
         g = algebra
         if "g_algebra" in block:
-            g = _parse_algebra(block["g_algebra"], f"{path}.g_algebra")
+            g = _parse_algebra(block["g_algebra"], f"{path}.g_algebra", MAX_DIM)
         matrix = _grid(block["matrix"], f"{path}.matrix", algebra.dim, g.dim)
+    if g.dim > MAX_DIM:
+        _invalid(path, f"g is the lie_algebra, of dim {g.dim} past the limit {MAX_DIM}")
     try:
         return AlgebraHom(g, algebra, matrix)
     except HamfluxError as exc:
@@ -379,7 +391,7 @@ def parse_document(doc):
         _fail("$.schema", f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
     if "lie_algebra" not in doc:
         _fail("$.lie_algebra", "missing")
-    algebra = _parse_algebra(doc["lie_algebra"], "$.lie_algebra")
+    algebra = _parse_algebra(doc["lie_algebra"], "$.lie_algebra", 2 * MAX_DIM)
     if "module" in doc:
         module = _parse_module(doc["module"], "$.module", algebra)
     else:

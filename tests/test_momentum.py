@@ -322,6 +322,7 @@ def test_derived_once_per_action(monkeypatch):
     assert len(builds) == 1
     assert obstruction_cocycle(momentum) is obstruction_cocycle(momentum)
     assert central_extension(momentum) is central_extension(momentum)
+    assert extended_momentum(momentum) is extended_momentum(momentum)
     assert abelian_extension(analysis, zeta) is abelian_extension(analysis, zeta)
     assert baer_product(analysis, zeta, momentum=momentum).abelian is abelian_extension(
         analysis, zeta
