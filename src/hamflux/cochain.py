@@ -16,7 +16,7 @@ derivative follow the standard conventions (i_xi c)(...) = c(xi, ...) and
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from fractions import Fraction
 
@@ -25,9 +25,11 @@ from hamflux.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    lincomb,
     quotient_map,
     vec_add,
     vec_scale,
+    vec_sub,
     vector,
     zero_vector,
 )
@@ -144,7 +146,7 @@ class Cochain:
     def __sub__(self, other):
         self._compatible(other)
         return Cochain(
-            self.module, self.degree, vec_add(self.coords, vec_scale(-1, other.coords))
+            self.module, self.degree, vec_sub(self.coords, other.coords)
         )
 
     def __neg__(self):
@@ -172,10 +174,6 @@ class Cochain:
 
     def __repr__(self):
         return f"Cochain(degree {self.degree}, {len(self.coords)} coords)"
-
-
-def _basis_bracket(algebra, a, b):
-    return algebra.structure[a][b]
 
 
 def differential_matrix(module, p):
@@ -269,11 +267,7 @@ def contract(xi, c):
     out_tuples, _ = tuple_basis(c.module.algebra.dim, c.degree - 1)
     coords = []
     for s in out_tuples:
-        acc = zero_vector(m)
-        for i, x in enumerate(xi):
-            if x:
-                acc = vec_add(acc, vec_scale(x, c.value(i, *s)))
-        coords.extend(acc)
+        coords.extend(lincomb(((x, c.value(i, *s)) for i, x in enumerate(xi) if x), m))
     return Cochain(c.module, c.degree - 1, coords)
 
 
@@ -286,14 +280,14 @@ def lie_derivative(xi, c):
         return Cochain(mod, 0, mod.act(xi, c.coords))
 
     def term(*t):
-        out = mod.act(xi, c.value(*t))
-        for pos in range(len(t)):
-            bracket = alg.bracket_with_basis(xi, t[pos])  # [xi, e_{t_pos}]
-            for k, w in enumerate(bracket):
-                if w:
-                    replaced = t[:pos] + (k,) + t[pos + 1 :]
-                    out = vec_add(out, vec_scale(-w, c.value(*replaced)))
-        return out
+        # [xi, e_{t_pos}] = sum_k w e_k replaces slot pos with weight -w
+        slots = (
+            (-w, c.value(*t[:pos], k, *t[pos + 1 :]))
+            for pos in range(len(t))
+            for k, w in enumerate(alg.bracket_with_basis(xi, t[pos]))
+            if w
+        )
+        return lincomb(chain([(1, mod.act(xi, c.value(*t)))], slots), mod.dim)
 
     return Cochain.from_values(mod, c.degree, term)
 

@@ -27,6 +27,7 @@ from hamflux.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    lincomb,
     quotient_map,
     unit_vector,
     vec_scale,
@@ -106,17 +107,10 @@ def _matrix_unit_index(n, i, j):
 
 def _matrix_multiply_coords(n, a, b):
     """Coordinates of the product of two n x n matrices given row-major coords."""
-    out = [Fraction(0)] * (n * n)
-    for i in range(n):
-        for k in range(n):
-            x = a[i * n + k]
-            if not x:
-                continue
-            for j in range(n):
-                y = b[k * n + j]
-                if y:
-                    out[i * n + j] += x * y
-    return tuple(out)
+    def square(coords):
+        return Matrix([coords[i * n : (i + 1) * n] for i in range(n)], n)
+
+    return sum((square(a) * square(b)).entries, ())
 
 
 def _commutator_coords(n, a, b):
@@ -197,19 +191,10 @@ def matrix_algebra_example(n):
 
 
 def _assoc_multiply(table, a, b):
-    m = len(table)
-    out = [Fraction(0)] * m
-    for i in range(m):
-        if not a[i]:
-            continue
-        for j in range(m):
-            if not b[j]:
-                continue
-            prod = table[i][j]
-            for k in range(m):
-                if prod[k]:
-                    out[k] += a[i] * b[j] * prod[k]
-    return tuple(out)
+    return lincomb(
+        ((ai * bj, table[i][j]) for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj),
+        len(table),
+    )
 
 
 def associative_algebra_example(mult_table):

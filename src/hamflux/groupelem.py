@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from hamflux.errors import (
+    BracketViolation,
     CocycleInvarianceViolation,
     HamfluxError,
     IntertwiningViolation,
@@ -23,6 +24,7 @@ from hamflux.errors import (
     Unsolvable,
     ValueOutsideInvariants,
 )
+from hamflux.liealg import AlgebraHom
 from hamflux.linalg import Matrix, hstack, rat, vstack
 from hamflux.momentum import central_extension, extended_momentum
 
@@ -60,12 +62,11 @@ def group_element(analysis, zeta, ad, rho_v, label="g"):
         ad_inv = ad.inverse()
     except Unsolvable:
         raise NotAutomorphism("Ad is singular") from None
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = ad.apply(g.structure[i][j])
-            rhs = g.bracket(ad.column(i), ad.column(j))
-            if lhs != rhs:
-                raise NotAutomorphism(f"Ad breaks the bracket at basis pair ({i}, {j})")
+    try:
+        AlgebraHom(g, g, ad)
+    except BracketViolation as exc:
+        i, j = exc.indices
+        raise NotAutomorphism(f"Ad breaks the bracket at basis pair ({i}, {j})") from None
     try:
         rho_v_inv = rho_v.inverse()
     except Unsolvable:
@@ -182,15 +183,12 @@ def adjoint_on_extension(element, momentum):
     top = hstack(Matrix.identity(k), Matrix.from_columns(c_cols, k))
     bottom = hstack(Matrix.zeros(g.dim, k), element.ad)
     out = vstack(top, bottom)
-    total = central.total
-    for i in range(total.dim):
-        for j in range(i + 1, total.dim):
-            lhs = out.apply(total.structure[i][j])
-            rhs = total.bracket(out.column(i), out.column(j))
-            if lhs != rhs:
-                raise HamfluxError(
-                    "extension adjoint is not an automorphism; inconsistent element"
-                )
+    try:
+        AlgebraHom(central.total, central.total, out)
+    except BracketViolation:
+        raise HamfluxError(
+            "extension adjoint is not an automorphism; inconsistent element"
+        ) from None
     hat = extended_momentum(momentum)
     if hat.matrix * out != element.rho_v * hat.matrix:
         raise HamfluxError(

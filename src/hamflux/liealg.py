@@ -4,6 +4,8 @@ eagerly: a constructed object is guaranteed to satisfy its defining identities
 preservation for maps). Scalars are exact rationals throughout.
 """
 
+from itertools import chain
+
 from hamflux.errors import (
     AntisymmetryViolation,
     BracketViolation,
@@ -16,9 +18,9 @@ from hamflux.linalg import (
     Subspace,
     is_zero_vector,
     kernel_basis,
+    lincomb,
     unit_vector,
     vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -57,15 +59,17 @@ class LieAlgebra:
                 bad = vec_add(c[i][j], c[j][i])
                 if not is_zero_vector(bad):
                     raise AntisymmetryViolation(i, j, bad)
+        cols = [tuple(row[k] for row in c) for k in range(n)]  # cols[k][l] = [e_l, e_k]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = vec_add(
-                        vec_add(
-                            self.bracket_with_basis(c[i][j], k),
-                            self.bracket_with_basis(c[j][k], i),
+                    s = lincomb(
+                        chain(
+                            zip(c[i][j], cols[k]),
+                            zip(c[j][k], cols[i]),
+                            zip(c[k][i], cols[j]),
                         ),
-                        self.bracket_with_basis(c[k][i], j),
+                        n,
                     )
                     if not is_zero_vector(s):
                         raise JacobiViolation(i, j, k, s)
@@ -77,19 +81,15 @@ class LieAlgebra:
 
     def bracket_with_basis(self, x, k):
         """[x, e_k] for a coordinate vector x."""
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = vec_add(out, vec_scale(xi, self.structure[i][k]))
-        return out
+        return lincomb(zip(x, (row[k] for row in self.structure), strict=True), self.dim)
 
     def bracket(self, x, y):
         """[x, y] by bilinear expansion of the structure constants."""
-        out = zero_vector(self.dim)
-        for j, yj in enumerate(y):
-            if yj:
-                out = vec_add(out, vec_scale(yj, self.bracket_with_basis(x, j)))
-        return out
+        c = self.structure
+        return lincomb(
+            ((xi * yj, c[i][j]) for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj),
+            self.dim,
+        )
 
     def ad_matrix(self, x):
         """Matrix of ad(x): y -> [x, y]."""
@@ -165,19 +165,19 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + xi * self.action[i]
-        return out
+        return Matrix(
+            tuple(
+                lincomb(zip(x, (a.entries[r] for a in self.action), strict=True), self.dim)
+                for r in range(self.dim)
+            ),
+            self.dim,
+        )
 
     def act(self, x, v):
         """x . v for coordinate vectors."""
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = vec_add(out, vec_scale(xi, self.action[i].apply(v)))
-        return out
+        return lincomb(
+            ((xi, a.apply(v)) for xi, a in zip(x, self.action, strict=True) if xi), self.dim
+        )
 
     def __eq__(self, other):
         return (

@@ -78,7 +78,19 @@ def is_zero_vector(u):
 
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v, strict=True)), _ZERO)
+    """Exact inner product; pairs with a zero factor are never multiplied."""
+    return sum([a * b for a, b in zip(u, v, strict=True) if a and b], _ZERO)
+
+
+def lincomb(terms, n):
+    """The length-n sum of c * v over (c, v) pairs, skipping zero factors."""
+    acc = [_ZERO] * n
+    for c, v in terms:
+        if c:
+            for i, x in zip(range(n), v, strict=True):
+                if x:
+                    acc[i] += c * x
+    return tuple(acc)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -173,9 +185,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            cols = [other.column(j) for j in range(other.ncols)]
+            rows = other.entries
             return Matrix(
-                tuple(tuple(dot(row, c) for c in cols) for row in self.entries),
+                tuple(lincomb(zip(row, rows), other.ncols) for row in self.entries),
                 other.ncols,
             )
         c = rat(other)
@@ -228,11 +240,13 @@ def vstack(a, b):
 
 # -- elimination ---------------------------------------------------------------
 
+def _row_scale(row):
+    return lcm(*[x.denominator for x in row])
+
+
 def _int_row(row):
     # clear denominators; preserves the row's line through the origin
-    scale = 1
-    for x in row:
-        scale = lcm(scale, x.denominator)
+    scale = _row_scale(row)
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
@@ -325,27 +339,14 @@ class LinearSolver:
         if len(b) != self.matrix.nrows:
             raise ValueError("rhs length mismatch")
         b = vector(b)
-        nz = [i for i, x in enumerate(b) if x]
         x = [_ZERO] * self.matrix.ncols
         for pc, pv, t in self._solution_rows:
-            acc = 0
-            for i in nz:
-                if t[i]:
-                    acc += t[i] * b[i]
-            if acc:
-                x[pc] = acc / pv
-        # substitution replaces the consistency rows: it costs rows x nnz(x)
-        # instead of a dense dot per zero row of the reduction
-        for r, row in enumerate(self.matrix.entries):
-            acc = _ZERO
-            for c, xc in enumerate(x):
-                if xc:
-                    e = row[c]
-                    if e:
-                        acc += e * xc
-            if acc != b[r]:
-                raise Unsolvable("rhs outside image")
-        return tuple(x)
+            x[pc] = dot(t, b) / pv
+        x = tuple(x)
+        # substitution replaces the consistency rows of the reduction
+        if self.matrix.apply(x) != b:
+            raise Unsolvable("rhs outside image")
+        return x
 
     def kernel(self):
         if self._kernel is None:
@@ -354,13 +355,6 @@ class LinearSolver:
                 _kernel_vectors(self._a_rows, self._a_pivots, self.matrix.ncols),
             )
         return self._kernel
-
-
-def _row_scale(row):
-    scale = 1
-    for x in row:
-        scale = lcm(scale, x.denominator)
-    return scale
 
 
 # -- subspaces -----------------------------------------------------------------
@@ -430,15 +424,7 @@ class Subspace:
         # the echelon basis has unit pivots, so coordinates are plain reads;
         # the residual check catches vectors outside the span
         coords = tuple(v[p] for p in self._pivot_rows())
-        acc = [_ZERO] * self.ambient
-        ent = self.basis.entries
-        for j, c in enumerate(coords):
-            if c:
-                for i in range(self.ambient):
-                    e = ent[i][j]
-                    if e:
-                        acc[i] += c * e
-        if tuple(acc) != v:
+        if self.basis.apply(coords) != v:
             raise Unsolvable("vector outside subspace")
         return coords
 

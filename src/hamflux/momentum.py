@@ -26,6 +26,7 @@ from hamflux.cochain import (
     lie_derivative,
 )
 from hamflux.errors import (
+    BracketViolation,
     HamfluxError,
     ImageNotHamiltonian,
     InvariantViolation,
@@ -221,13 +222,10 @@ class ExtensionPresentation:
             raise HamfluxError("projection does not kill the kernel")
         if (self.projection * self.section) != Matrix.identity(b.dim):
             raise HamfluxError("section is not a right inverse of the projection")
-        # the projection must be an algebra map
-        for i in range(t.dim):
-            for j in range(i + 1, t.dim):
-                lhs = self.projection.apply(t.structure[i][j])
-                rhs = b.bracket(self.projection.column(i), self.projection.column(j))
-                if lhs != rhs:
-                    raise HamfluxError("projection is not an algebra map")
+        try:
+            AlgebraHom(t, b, self.projection)
+        except BracketViolation:
+            raise HamfluxError("projection is not an algebra map") from None
         central = self.kind == "central"
         kernel_cols = self.injection.columns()
         kernel_space = Subspace.from_vectors(t.dim, kernel_cols)

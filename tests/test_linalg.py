@@ -15,9 +15,11 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
+    dot,
     hstack,
     intersect,
     kernel_basis,
+    lincomb,
     quotient_map,
     rat,
     rat_str,
@@ -248,3 +250,126 @@ def test_bignum_entries_stay_exact():
     reduced, pivots = rref_ints(rows, 3)
     assert pivots == [0, 1, 2]
     assert reduced == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# -- the zero-skipping kernel against a dense reference ------------------------
+
+# mostly zeros, with small signed rationals and bignum fractions among them
+bignums = st.builds(
+    lambda sign, num, den: F(sign * num, den),
+    st.sampled_from((1, -1)),
+    st.integers(2**64, 2**130),
+    st.integers(1, 2**70),
+)
+sparse_entries = st.integers(0, 4).flatmap(
+    lambda k: {3: rationals, 4: bignums}.get(k, st.just(F(0)))
+)
+
+
+def sparse_vectors(n):
+    return st.lists(sparse_entries, min_size=n, max_size=n).map(tuple)
+
+
+def sparse_rows(r, c):
+    return st.lists(sparse_vectors(c), min_size=r, max_size=r)
+
+
+def dense_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def dense_apply(rows, v):
+    return tuple(dense_dot(row, v) for row in rows)
+
+
+def row_rank(rows, n):
+    return Matrix(rows, n).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            sparse_vectors(n),
+            sparse_vectors(n),
+            st.lists(st.tuples(sparse_entries, sparse_vectors(n)), max_size=4),
+        )
+    )
+)
+def test_dot_and_lincomb_match_dense_reference(case):
+    n, u, v, terms = case
+    got = dot(u, v)
+    assert isinstance(got, F) and got == dense_dot(u, v)
+    combo = lincomb(terms, n)
+    assert all(isinstance(x, F) for x in combo)
+    assert combo == tuple(
+        sum((c * w[i] for c, w in terms), F(0)) for i in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rkc: st.tuples(
+            sparse_rows(rkc[0], rkc[1]),
+            sparse_rows(rkc[1], rkc[2]),
+            sparse_vectors(rkc[1]),
+        )
+    )
+)
+def test_matrix_product_and_apply_match_dense_reference(case):
+    a, b, v = case
+    cols = list(zip(*b))
+    product = Matrix(a) * Matrix(b)
+    assert product.entries == tuple(tuple(dense_dot(row, c) for c in cols) for row in a)
+    assert Matrix(a).apply(v) == dense_apply(a, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(0, 4)).flatmap(
+        lambda nk: st.tuples(
+            st.just(nk[0]),
+            sparse_rows(nk[1], nk[0]),
+            st.booleans(),
+            sparse_vectors(nk[1]),
+            sparse_vectors(nk[0]),
+        )
+    )
+)
+def test_coords_of_raises_exactly_outside_the_span(case):
+    n, spanning, combine, coeffs, free = case
+    # half the draws combine the spanning vectors, so both outcomes occur
+    v = dense_apply(list(zip(*spanning)), coeffs) if combine and spanning else free
+    sub = Subspace.from_vectors(n, spanning)
+    if row_rank(spanning + [v], n) == row_rank(spanning, n):
+        coords = sub.coords_of(v)
+        assert dense_apply(sub.basis.entries, coords) == v
+    else:
+        with pytest.raises(Unsolvable):
+            sub.coords_of(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rc: st.tuples(
+            sparse_rows(rc[0], rc[1]),
+            st.booleans(),
+            sparse_vectors(rc[1]),
+            sparse_vectors(rc[0]),
+        )
+    )
+)
+def test_linear_solver_raises_exactly_outside_the_image(case):
+    a, construct, x0, free = case
+    b = dense_apply(a, x0) if construct else free
+    ncols = len(a[0])
+    augmented = [row + (y,) for row, y in zip(a, b)]
+    solver = LinearSolver(Matrix(a))
+    if row_rank(augmented, ncols + 1) == row_rank(a, ncols):
+        assert dense_apply(a, solver.solve(b)) == b
+    else:
+        with pytest.raises(Unsolvable):
+            solver.solve(b)
