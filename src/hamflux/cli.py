@@ -17,6 +17,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cochain import Cochain
 from .errors import HamfluxError, ParseError, ValidationError
@@ -360,9 +361,14 @@ def cmd_noether(pf, args):
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _shared_parser():
+    # parse_args keeps no state on the parser, so one serves every main() call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         try:
             with open(args.file, encoding="utf-8") as fh:

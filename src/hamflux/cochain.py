@@ -192,21 +192,23 @@ def _assemble_differential(module, p):
     m = module.dim
     out_tuples, _ = tuple_basis(n, p + 1)
     in_tuples, in_index = tuple_basis(n, p)
-    rows = [[_ZERO] * (len(in_tuples) * m) for _ in range(len(out_tuples) * m)]
+    # one {column: value} dict per output row; entries that cancel are dropped
+    # when the rows are sorted into the matrix
+    rows = [{} for _ in range(len(out_tuples) * m)]
 
     _oi = {t: i for i, t in enumerate(out_tuples)}
 
+    def add(row, col, v):
+        row[col] = row[col] + v if col in row else v
+
     def add_action(out_t, x, in_t, sign):
-        # sign * rho(e_x) applied to the block of in_t
+        # sign * rho(e_x) applied to the block of in_t; sign is 1 or -1
         ob = _oi[out_t] * m
         ib = in_index[in_t] * m
-        mat = module.action[x]
-        for a in range(m):
+        for a, action_row in enumerate(module.action[x].sparse_rows):
             row = rows[ob + a]
-            for b in range(m):
-                v = mat[a, b]
-                if v:
-                    row[ib + b] += sign * v
+            for b, v in action_row:
+                add(row, ib + b, v if sign > 0 else -v)
 
     def add_identity(out_t, in_idx, coef):
         # coef * Id applied to the block of the (possibly unordered) tuple
@@ -217,7 +219,7 @@ def _assemble_differential(module, p):
         ib = in_index[key] * m
         c = coef * sign
         for a in range(m):
-            rows[ob + a][ib + a] += c
+            add(rows[ob + a], ib + a, c)
 
     struct = module.algebra.structure
 
@@ -247,7 +249,10 @@ def _assemble_differential(module, p):
             for k, coef in enumerate(struct[b][c]):
                 if coef:
                     add_identity(t, (k, a), -coef)
-    return Matrix(rows, len(in_tuples) * m)
+    return Matrix._from_sparse(
+        (tuple((j, x) for j, x in sorted(row.items()) if x) for row in rows),
+        len(in_tuples) * m,
+    )
 
 
 def differential(c):

@@ -19,6 +19,7 @@ from hamflux.linalg import (
     is_zero_vector,
     kernel_basis,
     lincomb,
+    sparse_lincomb,
     unit_vector,
     vec_add,
     vector,
@@ -165,13 +166,9 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        return Matrix(
-            tuple(
-                lincomb(zip(x, (a.entries[r] for a in self.action), strict=True), self.dim)
-                for r in range(self.dim)
-            ),
-            self.dim,
-        )
+        terms = [(c, a.sparse_rows) for c, a in zip(x, self.action, strict=True) if c]
+        rows = (sparse_lincomb((c, a[r]) for c, a in terms) for r in range(self.dim))
+        return Matrix._from_sparse(rows, self.dim)
 
     def act(self, x, v):
         """x . v for coordinate vectors."""

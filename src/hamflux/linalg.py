@@ -1,18 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Everything reduces to one elimination kernel, _backend.rref_ints: matrices
-are scaled row-wise to integers, reduced by fraction-free Gauss-Jordan, and
-normalized back. All derived objects are canonical so that equal subspaces
-compare equal and repeated runs produce identical output:
+A Matrix is stored as sparse rows: row i is a tuple of (column, Fraction)
+pairs with strictly increasing columns and no zero value. That form is
+canonical, so equal matrices have equal rows, and products, applications,
+stacks and transposes touch the nonzeros only. `entries`, `row`, `column`,
+`columns` and `m[i, j]` are dense views derived from the sparse rows on each
+call; no dense copy is kept.
+
+Everything reduces to one elimination kernel, _backend.rref_ints: sparse
+rows are scaled row-wise to dense integer rows, reduced by fraction-free
+Gauss-Jordan, and normalized back to sparse rational rows. All derived
+objects are canonical so that equal subspaces compare equal and repeated
+runs produce identical output:
 
 - subspace bases are in reduced column echelon form (the transpose is the
   rational RREF of the spanning rows);
 - particular solutions set every free variable to zero;
 - quotient maps are built from the canonical annihilator basis.
 
-Vectors are plain tuples of Fraction.
+Vectors are plain dense tuples of Fraction.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -93,15 +102,58 @@ def lincomb(terms, n):
     return tuple(acc)
 
 
+# -- sparse rows ---------------------------------------------------------------
+
+def _sparse(vec):
+    """Sparse row of a dense vector of Fractions (or ints)."""
+    return tuple((j, x) for j, x in enumerate(vec) if x)
+
+
+def _dense(row, n):
+    out = [_ZERO] * n
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
+def _entry(row, j):
+    k = bisect_left(row, (j,))  # (j,) sorts before (j, x)
+    return row[k][1] if k < len(row) and row[k][0] == j else _ZERO
+
+
+def sparse_lincomb(terms):
+    """Sparse row of the sum of c * row over (c, sparse row) pairs.
+
+    Only stored entries are multiplied; callers drop zero coefficients where
+    they are common. Entries that cancel are left out of the result.
+    """
+    acc = {}
+    for c, row in terms:
+        for j, x in row:
+            acc[j] = acc[j] + c * x if j in acc else c * x
+    return tuple((j, x) for j, x in sorted(acc.items()) if x)
+
+
 # -- matrices ------------------------------------------------------------------
 
-class Matrix:
-    """Immutable rational matrix; rows stored as tuples of Fraction."""
+def _fill(m, rows, ncols):
+    object.__setattr__(m, "sparse_rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", ncols)
 
-    __slots__ = ("nrows", "ncols", "entries")
+
+class Matrix:
+    """Immutable rational matrix stored as canonical sparse rows.
+
+    sparse_rows[i] holds the nonzeros of row i as (column, Fraction) pairs
+    with strictly increasing columns. Matrix(entries) coerces and checks
+    dense input; Matrix._from_sparse takes rows the library built itself.
+    """
+
+    __slots__ = ("nrows", "ncols", "sparse_rows")
 
     def __init__(self, entries, ncols=None):
-        rows = tuple(tuple(rat(x) for x in row) for row in entries)
+        rows = [tuple(rat(x) for x in row) for row in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -111,20 +163,25 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        _fill(self, tuple(_sparse(r) for r in rows), ncols)
+
+    @classmethod
+    def _from_sparse(cls, rows, ncols):
+        """Trusted constructor: `rows` must already be canonical sparse rows."""
+        m = object.__new__(cls)
+        _fill(m, tuple(rows), ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls((zero_vector(ncols),) * nrows, ncols)
+        return cls._from_sparse(((),) * nrows, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(unit_vector(n, i) for i in range(n)), n)
+        return cls._from_sparse((((i, _ONE),) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -133,65 +190,78 @@ class Matrix:
             return cls.zeros(nrows or 0, 0)
         if nrows is not None and nrows != len(cols[0]):
             raise ValueError("nrows disagrees with column height")
-        return cls(tuple(zip(*cols, strict=True)), len(cols))
+        return cls._from_sparse(map(_sparse, zip(*cols, strict=True)), len(cols))
+
+    @property
+    def entries(self):
+        """Dense rows, derived from the sparse rows."""
+        return tuple(_dense(r, self.ncols) for r in self.sparse_rows)
 
     def row(self, i):
-        return self.entries[i]
+        return _dense(self.sparse_rows[i], self.ncols)
 
     def column(self, j):
-        return tuple(r[j] for r in self.entries)
+        j = range(self.ncols)[j]
+        return tuple(_entry(r, j) for r in self.sparse_rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return [_dense(c, self.nrows) for c in self.transpose().sparse_rows]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return _entry(self.sparse_rows[i], range(self.ncols)[j])
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.entries, self.ncols))
+        return hash((self.sparse_rows, self.ncols))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.entries)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)), self.ncols
-        )
+        return self._combine(other, _ONE)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)), self.ncols
+        return self._combine(other, -_ONE)
+
+    def _combine(self, other, sign):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
+        return Matrix._from_sparse(
+            (
+                sparse_lincomb(((_ONE, a), (sign, b)))
+                for a, b in zip(self.sparse_rows, other.sparse_rows)
+            ),
+            self.ncols,
         )
 
     def __neg__(self):
-        return Matrix(tuple(vec_neg(r) for r in self.entries), self.ncols)
-
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
+        return Matrix._from_sparse(
+            (tuple((j, -x) for j, x in r) for r in self.sparse_rows), self.ncols
+        )
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            rows = other.entries
-            return Matrix(
-                tuple(lincomb(zip(row, rows), other.ncols) for row in self.entries),
+            rows = other.sparse_rows
+            return Matrix._from_sparse(
+                (sparse_lincomb((x, rows[k]) for k, x in r) for r in self.sparse_rows),
                 other.ncols,
             )
         c = rat(other)
-        return Matrix(tuple(vec_scale(c, r) for r in self.entries), self.ncols)
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        return Matrix._from_sparse(
+            (tuple((j, c * x) for j, x in r) for r in self.sparse_rows), self.ncols
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -200,19 +270,23 @@ class Matrix:
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(dot(row, vec) for row in self.entries)
-
-    def transpose(self):
-        return Matrix(
-            tuple(self.column(j) for j in range(self.ncols)) if self.ncols else (),
-            self.nrows,
+        nz = {j: x for j, x in enumerate(vec) if x}
+        return tuple(
+            sum([x * nz[j] for j, x in r if j in nz], _ZERO) for r in self.sparse_rows
         )
 
+    def transpose(self):
+        cols = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r:
+                cols[j].append((i, x))
+        return Matrix._from_sparse(map(tuple, cols), self.nrows)
+
     def is_zero(self):
-        return all(is_zero_vector(r) for r in self.entries)
+        return not any(self.sparse_rows)
 
     def rank(self):
-        _, pivots = _int_rref(self)
+        _, pivots = _int_rref(self.sparse_rows, self.ncols)
         return len(pivots)
 
     def inverse(self):
@@ -227,49 +301,61 @@ class Matrix:
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    return Matrix(
-        tuple(ra + rb for ra, rb in zip(a.entries, b.entries)), a.ncols + b.ncols
+    shift = a.ncols
+    return Matrix._from_sparse(
+        (
+            ra + tuple((j + shift, x) for j, x in rb)
+            for ra, rb in zip(a.sparse_rows, b.sparse_rows)
+        ),
+        a.ncols + b.ncols,
     )
 
 
 def vstack(a, b):
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
-    return Matrix(a.entries + b.entries, a.ncols)
+    return Matrix._from_sparse(a.sparse_rows + b.sparse_rows, a.ncols)
 
 
 # -- elimination ---------------------------------------------------------------
 
 def _row_scale(row):
-    return lcm(*[x.denominator for x in row])
+    return lcm(*[x.denominator for _, x in row])
 
 
-def _int_row(row):
+def _int_row(row, ncols):
     # clear denominators; preserves the row's line through the origin
     scale = _row_scale(row)
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _int_rref(m):
-    """Reduced integer rows and pivot columns of a Matrix (kernel entry point)."""
-    rows = [_int_row(r) for r in m.entries]
-    return rref_ints(rows, m.ncols)
-
-
-def _fraction_rows(int_rows, pivots):
-    out = []
-    for row, pc in zip(int_rows, pivots):
-        inv = Fraction(1, row[pc])
-        out.append(tuple(x * inv for x in row))
+    out = [0] * ncols
+    for j, x in row:
+        out[j] = x.numerator * (scale // x.denominator)
     return out
+
+
+def _int_rref(rows, ncols):
+    """Sparse reduced integer rows and pivot columns of sparse rational rows.
+
+    Every elimination enters rref_ints here or in LinearSolver. Each reduced
+    row starts at its pivot.
+    """
+    reduced, pivots = rref_ints([_int_row(r, ncols) for r in rows], ncols)
+    return [_sparse(r) for r in reduced], pivots
+
+
+def _fraction_rows(int_rows):
+    # divide each reduced row by its pivot, its first entry
+    out = []
+    for row in int_rows:
+        inv = Fraction(1, row[0][1])
+        out.append(tuple((j, x * inv) for j, x in row))
+    return tuple(out)
 
 
 def rref(m):
     """Rational reduced row echelon form, same shape as the input."""
-    int_rows, pivots = _int_rref(m)
-    rows = _fraction_rows(int_rows, pivots)
-    rows.extend([zero_vector(m.ncols)] * (m.nrows - len(rows)))
-    return Matrix(rows, m.ncols)
+    int_rows, _ = _int_rref(m.sparse_rows, m.ncols)
+    rows = _fraction_rows(int_rows)
+    return Matrix._from_sparse(rows + ((),) * (m.nrows - len(rows)), m.ncols)
 
 
 def rank(m):
@@ -277,23 +363,22 @@ def rank(m):
 
 
 def _kernel_vectors(int_rows, pivots, ncols):
+    # one sparse vector per free column f: 1 at f, and -row[f] / row[pc] at
+    # the pivot column pc of each reduced row; in a reduced row every entry
+    # after the pivot sits in a free column
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for row, pc in zip(int_rows, pivots):
-            if row[f]:
-                v[pc] = Fraction(-row[f], row[pc])
-        vecs.append(tuple(v))
-    return vecs
+    vecs = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
+    for row, pc in zip(int_rows, pivots):
+        pv = row[0][1]
+        for f, x in row[1:]:
+            vecs[f][pc] = Fraction(-x, pv)
+    return [tuple(sorted(v.items())) for v in vecs.values()]
 
 
 def kernel_basis(m):
     """Canonical basis of {x : m x = 0} as a Subspace of the column space."""
-    int_rows, pivots = _int_rref(m)
-    return Subspace.from_vectors(m.ncols, _kernel_vectors(int_rows, pivots, m.ncols))
+    int_rows, pivots = _int_rref(m.sparse_rows, m.ncols)
+    return Subspace._span(m.ncols, _kernel_vectors(int_rows, pivots, m.ncols))
 
 
 def solve_affine(m, b):
@@ -309,30 +394,35 @@ def solve_affine(m, b):
 class LinearSolver:
     """Stored factorization of a matrix for repeated exact solves.
 
-    Reduces [A | I] once; each solve is a pass over the recorded rows. The
-    transform part T satisfies (row of R) = (row of T) . A throughout, so rows
-    whose R-part vanished give the consistency conditions T_r . b = 0 and the
-    others read off the canonical (free variables zero) solution.
+    Reduces [A | I] once; each solve is one sparse product. The transform
+    part T satisfies (row of R) = (row of T) . A throughout, so rows whose
+    R-part vanished give the consistency conditions T_r . b = 0 and the
+    others, divided by their pivot, read off the canonical (free variables
+    zero) solution.
     """
 
     def __init__(self, m):
         self.matrix = m
         n = m.ncols
         rows = []
-        for i, row in enumerate(m.entries):
-            aug = _int_row(row) + [0] * m.nrows
+        for i, row in enumerate(m.sparse_rows):
+            aug = _int_row(row, n + m.nrows)
             # the row scaling multiplies the identity part too
             aug[n + i] = _row_scale(row)
             rows.append(aug)
         reduced, pivots = rref_ints(rows, n + m.nrows)
-        self._solution_rows = []  # (pivot col in A, pivot value, T part)
         self._a_pivots = []
-        self._a_rows = []
+        self._a_rows = []  # sparse A part of each row with a pivot in A
+        transform = []  # its T part divided by the pivot value
         for row, pc in zip(reduced, pivots):
             if pc < n:
-                self._solution_rows.append((pc, row[pc], row[n:]))
+                pv = row[pc]
                 self._a_pivots.append(pc)
-                self._a_rows.append(row[:n])
+                self._a_rows.append(_sparse(row[:n]))
+                transform.append(
+                    tuple((j, Fraction(x, pv)) for j, x in enumerate(row[n:]) if x)
+                )
+        self._transform = Matrix._from_sparse(transform, m.nrows)
         self._kernel = None
 
     def solve(self, b):
@@ -340,8 +430,8 @@ class LinearSolver:
             raise ValueError("rhs length mismatch")
         b = vector(b)
         x = [_ZERO] * self.matrix.ncols
-        for pc, pv, t in self._solution_rows:
-            x[pc] = dot(t, b) / pv
+        for pc, y in zip(self._a_pivots, self._transform.apply(b)):
+            x[pc] = y
         x = tuple(x)
         # substitution replaces the consistency rows of the reduction
         if self.matrix.apply(x) != b:
@@ -350,7 +440,7 @@ class LinearSolver:
 
     def kernel(self):
         if self._kernel is None:
-            self._kernel = Subspace.from_vectors(
+            self._kernel = Subspace._span(
                 self.matrix.ncols,
                 _kernel_vectors(self._a_rows, self._a_pivots, self.matrix.ncols),
             )
@@ -382,15 +472,20 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length mismatch")
-        if not vectors:
-            return cls(ambient, Matrix.zeros(ambient, 0))
-        int_rows, pivots = rref_ints([_int_row(v) for v in vectors], ambient)
-        rows = _fraction_rows(int_rows, pivots)
-        return cls(ambient, Matrix(rows, ambient).transpose() if rows else Matrix.zeros(ambient, 0))
+        return cls._span(ambient, [_sparse(v) for v in vectors])
+
+    @classmethod
+    def _span(cls, ambient, rows):
+        """Span of sparse rows of length `ambient`."""
+        if not rows:
+            return cls.zero(ambient)
+        int_rows, _ = _int_rref(rows, ambient)
+        rref_rows = Matrix._from_sparse(_fraction_rows(int_rows), ambient)
+        return cls(ambient, rref_rows.transpose())
 
     @classmethod
     def from_columns(cls, m):
-        return cls.from_vectors(m.nrows, m.columns())
+        return cls._span(m.nrows, m.transpose().sparse_rows)
 
     @classmethod
     def zero(cls, ambient):
@@ -409,11 +504,9 @@ class Subspace:
 
     def _pivot_rows(self):
         if self._pivots is None:
-            ent = self.basis.entries
-            piv = []
-            for j in range(self.basis.ncols):
-                piv.append(next(i for i in range(self.ambient) if ent[i][j]))
-            object.__setattr__(self, "_pivots", tuple(piv))
+            # each basis column starts at its pivot
+            piv = tuple(c[0][0] for c in self.basis.transpose().sparse_rows)
+            object.__setattr__(self, "_pivots", piv)
         return self._pivots
 
     def coords_of(self, v):
@@ -441,8 +534,9 @@ class Subspace:
     def sum_with(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace.from_vectors(
-            self.ambient, self.basis.columns() + other.basis.columns()
+        return Subspace._span(
+            self.ambient,
+            self.basis.transpose().sparse_rows + other.basis.transpose().sparse_rows,
         )
 
     def intersect(self, other):
@@ -482,5 +576,6 @@ def intersect(a, b):
         return Subspace.zero(a.ambient)
     stacked = hstack(a.basis, -b.basis)
     pairs = kernel_basis(stacked)
-    vecs = [a.basis.apply(p[: a.dim]) for p in pairs.basis.columns()]
-    return Subspace.from_vectors(a.ambient, vecs)
+    # the a-coordinates of each kernel vector are its first a.dim entries
+    top = Matrix._from_sparse(pairs.basis.sparse_rows[: a.dim], pairs.dim)
+    return Subspace.from_columns(a.basis * top)

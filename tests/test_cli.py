@@ -409,6 +409,33 @@ def test_entry_point_subprocess():
     assert proc.returncode == 2
 
 
+def test_one_parser_serves_successive_calls(capsys):
+    # main() reuses one parser per process: a success, a usage error and a
+    # different subcommand in a row print what fresh processes print
+    calls = [
+        ["validate", str(DATA / "heis3.json"), "--json"],
+        ["extend", str(DATA / "heis3.json"), "--kind", "bogus"],
+        ["analyze", str(DATA / "sl2_m2.json")],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "hamflux", *argv], capture_output=True, text=True
+        )
+        for argv in calls
+    ]
+    assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == in_process
+    assert [code for code, _, _ in in_process] == [0, 1, 0]
+    assert "usage: hamflux extend" in in_process[1][2]
+
+
 def test_emitted_document_round_trips_by_command(capsys):
     heis3 = (DATA / "heis3.json").read_text(encoding="utf-8")
     sl3 = matrix_algebra_example(3)

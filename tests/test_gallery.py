@@ -82,7 +82,7 @@ def test_not_central():
         from_central_extension(heis3(), Subspace.from_vectors(3, [(1, 0, 0)]))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrix_algebra_dims(n):
     bundle = matrix_algebra_example(n)
     assert bundle.module.algebra.dim == n * n - 1

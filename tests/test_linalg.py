@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamflux._backend import rref_ints
+from hamflux.cochain import differential_matrix
 from hamflux.errors import Unsolvable
+from hamflux.gallery import matrix_algebra_example, random_instance
 from hamflux.linalg import (
     LinearSolver,
     Matrix,
@@ -373,3 +375,96 @@ def test_linear_solver_raises_exactly_outside_the_image(case):
     else:
         with pytest.raises(Unsolvable):
             solver.solve(b)
+
+
+# -- the canonical sparse form -------------------------------------------------
+
+def assert_canonical(m):
+    """Strictly increasing columns and no stored zero, equal to a rebuild."""
+    assert len(m.sparse_rows) == m.nrows
+    for row in m.sparse_rows:
+        cols = [j for j, _ in row]
+        assert all(i < j for i, j in zip(cols, cols[1:]))
+        assert all(0 <= j < m.ncols for j in cols)
+        assert all(isinstance(x, F) and x != 0 for _, x in row)
+    rebuilt = Matrix(m.entries, m.ncols)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+def shapes(*dims):
+    """Mostly-zero dense row lists, one for each (rows, cols) shape."""
+    return st.tuples(*[sparse_rows(*d) for d in dims])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rkc: st.tuples(
+            shapes(rkc[:2], rkc[:2], rkc[1:], (rkc[1], rkc[1])),
+            sparse_entries,
+        )
+    )
+)
+def test_every_matrix_result_is_canonical(case):
+    (a, a2, b, square), s = case
+    A, A2 = Matrix(a), Matrix(a2)
+    results = [
+        A,
+        A * Matrix(b),
+        A * s,
+        s * A,
+        A * 0,
+        -A,
+        A + A2,
+        A - A2,
+        A + -A,
+        A.transpose(),
+        hstack(A, A2),
+        vstack(A, A2),
+        rref(A),
+        kernel_basis(A).basis,
+        quotient_map(A.nrows, Subspace.from_columns(A)),
+    ]
+    invertible = Matrix.identity(len(square)) + Matrix(square)
+    if invertible.rank() == invertible.nrows:
+        results.append(invertible.inverse())
+    for m in results:
+        assert_canonical(m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(3, 3), (4, 4), (5, 3), (3, 5)]), st.integers(0, 41))
+def test_differentials_are_canonical(dims, seed):
+    module = random_instance(dims, seed).module
+    for p in range(3):
+        assert_canonical(differential_matrix(module, p))
+
+
+def test_sl2_differentials_are_canonical():
+    module = matrix_algebra_example(2).module
+    for p in range(3):
+        assert_canonical(differential_matrix(module, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda rc: st.tuples(shapes(rc, rc), sparse_entries)
+    )
+)
+def test_views_stacks_and_scaling_match_dense_reference(case):
+    (a, b), s = case
+    A, B = Matrix(a), Matrix(b)
+    ncols = len(a[0])
+    assert A.entries == tuple(a)
+    assert [A.row(i) for i in range(A.nrows)] == a
+    assert A.columns() == [A.column(j) for j in range(ncols)] == list(zip(*a))
+    assert all(A[i, j] == a[i][j] for i in range(len(a)) for j in range(ncols))
+    assert A.transpose().entries == tuple(zip(*a))
+    assert hstack(A, B).entries == tuple(ra + rb for ra, rb in zip(a, b))
+    assert vstack(A, B).entries == tuple(a) + tuple(b)
+    assert (-A).entries == tuple(tuple(-x for x in r) for r in a)
+    assert (A * s).entries == (s * A).entries == tuple(tuple(s * x for x in r) for r in a)
+    pairs = [tuple(zip(ra, rb)) for ra, rb in zip(a, b)]
+    assert (A + B).entries == tuple(tuple(x + y for x, y in p) for p in pairs)
+    assert (A - B).entries == tuple(tuple(x - y for x, y in p) for p in pairs)
