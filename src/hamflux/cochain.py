@@ -221,7 +221,7 @@ def _assemble_differential(module, p):
         for a in range(m):
             add(rows[ob + a], ib + a, c)
 
-    struct = module.algebra.structure
+    struct = module.algebra._sparse
 
     if p == 0:
         for (x,) in out_tuples:
@@ -231,24 +231,20 @@ def _assemble_differential(module, p):
             a, b = t
             add_action(t, a, (b,), 1)
             add_action(t, b, (a,), -1)
-            for k, coef in enumerate(struct[a][b]):
-                if coef:
-                    add_identity(t, (k,), -coef)
+            for k, coef in struct[a][b]:
+                add_identity(t, (k,), -coef)
     else:
         for t in out_tuples:
             a, b, c = t
             add_action(t, a, (b, c), 1)
             add_action(t, b, (a, c), -1)
             add_action(t, c, (a, b), 1)
-            for k, coef in enumerate(struct[a][b]):
-                if coef:
-                    add_identity(t, (k, c), -coef)
-            for k, coef in enumerate(struct[a][c]):
-                if coef:
-                    add_identity(t, (k, b), coef)
-            for k, coef in enumerate(struct[b][c]):
-                if coef:
-                    add_identity(t, (k, a), -coef)
+            for k, coef in struct[a][b]:
+                add_identity(t, (k, c), -coef)
+            for k, coef in struct[a][c]:
+                add_identity(t, (k, b), coef)
+            for k, coef in struct[b][c]:
+                add_identity(t, (k, a), -coef)
     return Matrix._from_sparse(
         (tuple((j, x) for j, x in sorted(row.items()) if x) for row in rows),
         len(in_tuples) * m,

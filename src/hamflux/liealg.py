@@ -16,7 +16,8 @@ from hamflux.errors import (
 from hamflux.linalg import (
     Matrix,
     Subspace,
-    is_zero_vector,
+    _dense,
+    _sparse,
     kernel_basis,
     lincomb,
     sparse_lincomb,
@@ -30,13 +31,16 @@ from hamflux.linalg import (
 class LieAlgebra:
     """Lie algebra given by structure constants on a fixed basis.
 
-    structure[i][j] is the coordinate vector of [e_i, e_j]. Construction
-    checks antisymmetry on all pairs and the Jacobi identity on strictly
-    increasing triples; with antisymmetry in hand, multilinearity extends the
-    identity from those triples to arbitrary arguments.
+    structure[i][j] is the coordinate vector of [e_i, e_j]. The same table is
+    kept as canonical sparse rows, _sparse[i][j] holding the (l, Fraction)
+    pairs of [e_i, e_j] in the form of Matrix.sparse_rows; validation,
+    brackets and algebra maps read only its nonzeros. Construction checks
+    antisymmetry on all pairs and the Jacobi identity on strictly increasing
+    triples; with antisymmetry in hand, multilinearity extends the identity
+    from those triples to arbitrary arguments.
     """
 
-    __slots__ = ("dim", "structure")
+    __slots__ = ("dim", "structure", "_sparse")
 
     def __init__(self, structure):
         table = tuple(tuple(vector(v) for v in row) for row in structure)
@@ -46,57 +50,65 @@ class LieAlgebra:
                 raise ValueError("structure table must be n x n with length-n values")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "structure", table)
+        sparse = tuple(tuple(map(_sparse, row)) for row in table)
+        object.__setattr__(self, "_sparse", sparse)
         self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def _validate(self):
-        n, c = self.dim, self.structure
+        n, c, s = self.dim, self.structure, self._sparse
         for i in range(n):
-            if not is_zero_vector(c[i][i]):
+            if s[i][i]:
                 raise AntisymmetryViolation(i, i, c[i][i])
             for j in range(i + 1, n):
-                bad = vec_add(c[i][j], c[j][i])
-                if not is_zero_vector(bad):
-                    raise AntisymmetryViolation(i, j, bad)
-        cols = [tuple(row[k] for row in c) for k in range(n)]  # cols[k][l] = [e_l, e_k]
+                if s[i][j] != tuple((l, -x) for l, x in s[j][i]):
+                    raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
+        # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = lincomb(
+                    r = sparse_lincomb(
                         chain(
-                            zip(c[i][j], cols[k]),
-                            zip(c[j][k], cols[i]),
-                            zip(c[k][i], cols[j]),
-                        ),
-                        n,
+                            ((x, s[l][k]) for l, x in s[i][j]),
+                            ((x, s[l][i]) for l, x in s[j][k]),
+                            ((x, s[l][j]) for l, x in s[k][i]),
+                        )
                     )
-                    if not is_zero_vector(s):
-                        raise JacobiViolation(i, j, k, s)
+                    if r:
+                        raise JacobiViolation(i, j, k, _dense(r, n))
 
     @classmethod
     def abelian(cls, n):
         zero = zero_vector(n)
         return cls(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
+    def _coords(self, x):
+        """Sparse row of the coordinate vector x, checked to have length dim."""
+        if len(x) != self.dim:
+            raise ValueError("vector length mismatch")
+        return _sparse(x)
+
+    def _sparse_bracket(self, xs, ys):
+        """Sparse row of [x, y] for sparse rows xs and ys."""
+        s = self._sparse
+        return sparse_lincomb((a * b, s[i][j]) for i, a in xs for j, b in ys)
+
     def bracket_with_basis(self, x, k):
         """[x, e_k] for a coordinate vector x."""
-        return lincomb(zip(x, (row[k] for row in self.structure), strict=True), self.dim)
+        k = range(self.dim)[k]
+        return _dense(self._sparse_bracket(self._coords(x), ((k, 1),)), self.dim)
 
     def bracket(self, x, y):
         """[x, y] by bilinear expansion of the structure constants."""
-        c = self.structure
-        return lincomb(
-            ((xi * yj, c[i][j]) for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj),
-            self.dim,
-        )
+        return _dense(self._sparse_bracket(self._coords(x), self._coords(y)), self.dim)
 
     def ad_matrix(self, x):
         """Matrix of ad(x): y -> [x, y]."""
-        x = vector(x)
-        cols = [self.bracket_with_basis(x, j) for j in range(self.dim)]
-        return Matrix.from_columns(cols, self.dim)
+        xs = self._coords(vector(x))
+        cols = [self._sparse_bracket(xs, ((j, 1),)) for j in range(self.dim)]
+        return Matrix._from_sparse(cols, self.dim).transpose()
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.structure == other.structure
@@ -116,13 +128,15 @@ def center(algebra):
 
 
 def _transpose_action(algebra):
-    # matrix sending x to the concatenation of [x, e_j] over j
+    # matrix sending x to the concatenation of [x, e_j] over j: row j*n + k
+    # holds the pairs (i, c_ij^k), in increasing i
     n = algebra.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(algebra.structure[i][j][k] for i in range(n)))
-    return Matrix(rows, n)
+    rows = [[] for _ in range(n * n)]
+    for i, row in enumerate(algebra._sparse):
+        for j, v in enumerate(row):
+            for k, x in v:
+                rows[j * n + k].append((i, x))
+    return Matrix._from_sparse(map(tuple, rows), n)
 
 
 class LieModule:
@@ -209,11 +223,12 @@ class AlgebraHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
+        cols = matrix.transpose().sparse_rows
+        s = source._sparse
         for i in range(source.dim):
             for j in range(i + 1, source.dim):
-                lhs = matrix.apply(source.structure[i][j])
-                rhs = target.bracket(matrix.column(i), matrix.column(j))
-                if lhs != rhs:
+                lhs = sparse_lincomb((x, cols[l]) for l, x in s[i][j])
+                if lhs != target._sparse_bracket(cols[i], cols[j]):
                     raise BracketViolation(i, j)
 
     def __setattr__(self, name, value):

@@ -82,10 +82,6 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def is_zero_vector(u):
-    return all(a == 0 for a in u)
-
-
 def dot(u, v):
     """Exact inner product; pairs with a zero factor are never multiplied."""
     return sum([a * b for a, b in zip(u, v, strict=True) if a and b], _ZERO)

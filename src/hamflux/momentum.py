@@ -78,11 +78,11 @@ def pullback_cocycle(analysis, zeta):
     """
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        z = zeta.matrix
+        z = zeta.matrix.columns()
         omega_g = Cochain.from_values(
             pullback_module(analysis, zeta),
             2,
-            lambda i, j: analysis.omega_value(z.column(i), z.column(j)),
+            lambda i, j: analysis.omega_value(z[i], z[j]),
         )
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
@@ -162,12 +162,10 @@ def _derive_tau(momentum):
     omega_g = pullback_cocycle(analysis, zeta)
     pb = omega_g.module
     J = momentum.matrix
+    z, j_cols = zeta.matrix.columns(), J.columns()
 
     def tau_value(i, j):
-        xi = zeta.matrix.column(i)
-        return vec_sub(
-            analysis.module.act(xi, J.column(j)), J.apply(g.structure[i][j])
-        )
+        return vec_sub(analysis.module.act(z[i], j_cols[j]), J.apply(g.structure[i][j]))
 
     tau = Cochain.from_values(pb, 2, tau_value)
     for i in range(g.dim):
@@ -176,7 +174,7 @@ def _derive_tau(momentum):
                 raise HamfluxError("obstruction value escaped the invariants")
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
-    j_cochain = Cochain(pb, 1, tuple(x for i in range(g.dim) for x in J.column(i)))
+    j_cochain = Cochain(pb, 1, tuple(x for col in j_cols for x in col))
     if tau != differential(j_cochain) + omega_g:
         raise HamfluxError("tau != d J + omega_g; inconsistent data")
     return tau

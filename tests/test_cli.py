@@ -76,6 +76,15 @@ def test_analyze_broken_jacobi_exits_2(capsys):
     assert "JacobiViolation" in err
 
 
+def test_validate_broken_jacobi_names_first_triple(capsys):
+    code, out, err = run(capsys, "validate", DATA / "broken_jacobi.json")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: $.lie_algebra: JacobiViolation: "
+        "Jacobi identity fails on basis triple (0, 1, 2)\n"
+    )
+
+
 def test_analyze_seeded_probes_deterministic(capsys):
     first = run(capsys, "analyze", DATA / "sl2_m2.json", "--seed", "7")
     second = run(capsys, "analyze", DATA / "sl2_m2.json", "--seed", "7")

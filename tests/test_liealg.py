@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflux.errors import (
     AntisymmetryViolation,
@@ -19,7 +21,7 @@ from hamflux.liealg import (
     center,
     subalgebra,
 )
-from hamflux.linalg import Matrix, Subspace
+from hamflux.linalg import Matrix, Subspace, unit_vector
 from util import heis3, sl2, solvable2
 
 
@@ -59,6 +61,17 @@ def test_jacobi_violation():
         LieAlgebra(table)
     assert err.value.indices == (0, 1, 2)
     assert err.value.residual == (F(0), F(1), F(0))
+
+
+def test_jacobi_violation_from_last_cyclic_term_only():
+    # [e2,e0] = e3 and [e3,e1] = e0: on (0, 1, 2) only [[e2,e0],e1] survives
+    table = [[(0, 0, 0, 0)] * 4 for _ in range(4)]
+    table[2][0], table[0][2] = (0, 0, 0, 1), (0, 0, 0, -1)
+    table[3][1], table[1][3] = (1, 0, 0, 0), (-1, 0, 0, 0)
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(table)
+    assert err.value.indices == (0, 1, 2)
+    assert err.value.residual == (F(1), F(0), F(0), F(0))
 
 
 def test_center_of_heis3_is_z_line():
@@ -143,3 +156,184 @@ def test_dimension_zero_algebra():
 def test_solvable2_ad():
     s = solvable2()
     assert s.ad_matrix((1, 0)) == Matrix([[0, 0], [0, 1]])
+
+
+def test_bracket_rejects_wrong_length():
+    g = sl2()
+    with pytest.raises(ValueError):
+        g.bracket((1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        g.bracket((1, 0, 0, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        g.bracket((1, 0, 0), (0, 1, 0, 0, 0))
+
+
+# -- sparse structure constants against dense references --------------------------
+
+small = st.integers(-3, 3)
+
+
+def dense_bracket(table, x, y):
+    n = len(table)
+    return tuple(
+        sum((F(x[i]) * y[j] * table[i][j][m] for i in range(n) for j in range(n)), F(0))
+        for m in range(n)
+    )
+
+
+def dense_first_violation(table):
+    """(class, indices, value) of the first failing check, or None."""
+    n = len(table)
+    for i in range(n):
+        if any(table[i][i]):
+            return AntisymmetryViolation, (i, i), tuple(table[i][i])
+        for j in range(i + 1, n):
+            bad = tuple(a + b for a, b in zip(table[i][j], table[j][i]))
+            if any(bad):
+                return AntisymmetryViolation, (i, j), bad
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = tuple(
+                    sum(
+                        (
+                            table[i][j][l] * table[l][k][m]
+                            + table[j][k][l] * table[l][i][m]
+                            + table[k][i][l] * table[l][j][m]
+                            for l in range(n)
+                        ),
+                        F(0),
+                    )
+                    for m in range(n)
+                )
+                if any(r):
+                    return JacobiViolation, (i, j, k), r
+    return None
+
+
+def gl2():
+    """sl2 plus a central e_3, so that four Jacobi triples can fail."""
+    table = [[v + (0,) for v in row] + [(0,) * 4] for row in sl2().structure]
+    return LieAlgebra(table + [[(0,) * 4] * 4])
+
+
+@st.composite
+def changed_bases(draw):
+    """(base, table, P): a reference algebra, its valid table in the basis
+    f_a = sum_i P[i][a] e_i, and the invertible integer matrix P."""
+    base = draw(st.sampled_from([sl2, heis3, solvable2, gl2]))()
+    n = base.dim
+    rows = st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+    # the identity keeps the sparse reference tables, where a perturbation
+    # first breaks Jacobi on later triples
+    identity = [list(unit_vector(n, i)) for i in range(n)]
+    p = draw(st.one_of(st.just(identity), rows.filter(lambda r: Matrix(r).rank() == n)))
+    pinv = Matrix(p).inverse()
+    cols = [[p[i][a] for i in range(n)] for a in range(n)]
+    table = [
+        [pinv.apply(dense_bracket(base.structure, cols[a], cols[b])) for b in range(n)]
+        for a in range(n)
+    ]
+    return base, table, p
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A valid table with one constant changed or, more often, with one
+    antisymmetric pair of constants changed (which leaves only Jacobi to
+    fail)."""
+    _, table, _ = draw(changed_bases())
+    n = len(table)
+    i, j, m = (draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = draw(small.filter(bool))
+    table = [[list(v) for v in row] for row in table]
+    table[i][j][m] += delta
+    if i != j and draw(st.integers(0, 3)):
+        table[j][i][m] -= delta
+    return table
+
+
+def assert_same_failure(table):
+    expected = dense_first_violation(table)
+    if expected is None:
+        LieAlgebra(table)
+        return
+    cls, indices, value = expected
+    with pytest.raises(cls) as err:
+        LieAlgebra(table)
+    assert type(err.value) is cls
+    assert err.value.indices == indices
+    got = err.value.value if cls is AntisymmetryViolation else err.value.residual
+    assert got == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_tables())
+def test_validation_matches_dense_loop_on_perturbed_tables(table):
+    assert_same_failure(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    changed_bases(),
+    st.lists(small, min_size=4, max_size=4),
+    st.lists(small, min_size=4, max_size=4),
+)
+def test_brackets_match_dense_sum(case, xs, ys):
+    _, table, _ = case
+    g = LieAlgebra(table)
+    n = g.dim
+    x, y = xs[:n], ys[:n]
+    assert g.bracket(x, y) == dense_bracket(table, x, y)
+    units = [unit_vector(n, k) for k in range(n)]
+    for k in range(n):
+        assert g.bracket_with_basis(x, k) == dense_bracket(table, x, units[k])
+    ad = [[dense_bracket(table, x, units[k])[l] for k in range(n)] for l in range(n)]
+    assert g.ad_matrix(x) == Matrix(ad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(changed_bases())
+def test_sparse_table_is_canonical(case):
+    _, table, _ = case
+    assert dense_first_violation(table) is None
+    g = LieAlgebra(table)
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            row = g._sparse[i][j]
+            cols = [l for l, _ in row]
+            assert cols == sorted(set(cols))
+            assert all(type(x) is F and x != 0 for _, x in row)
+            assert tuple(row) == tuple((l, x) for l, x in enumerate(g.structure[i][j]) if x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(changed_bases(), st.data())
+def test_hom_fails_at_dense_first_pair(case, data):
+    # P maps the changed basis onto the reference one, so it is a hom from
+    # the changed algebra to the reference algebra until an entry is perturbed
+    base, table, p = case
+    n = base.dim
+    m = [list(r) for r in p]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        m[i][j] += data.draw(small.filter(bool))
+    mat = Matrix(m)
+    cols = [[m[r][c] for r in range(n)] for c in range(n)]
+    first = next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if mat.apply(table[i][j]) != dense_bracket(base.structure, cols[i], cols[j])
+        ),
+        None,
+    )
+    source = LieAlgebra(table)
+    if first is None:
+        AlgebraHom(source, base, mat)
+    else:
+        with pytest.raises(BracketViolation) as err:
+            AlgebraHom(source, base, mat)
+        assert err.value.indices == first
