@@ -104,11 +104,11 @@ def _require_zeta(pf, command):
     return pf.zeta
 
 
-def _file_momentum(pf, analysis):
-    """Momentum map from the document: supplied matrix if any, else solved."""
-    if pf.momentum is not None:
-        return MomentumMap(analysis, pf.zeta, pf.momentum)
-    momentum, _ = solve_momentum(analysis, pf.zeta)
+def _momentum_map(analysis, zeta, supplied):
+    """Momentum map for zeta: the supplied matrix if any, else the solved one."""
+    if supplied is not None:
+        return MomentumMap(analysis, zeta, supplied)
+    momentum, _ = solve_momentum(analysis, zeta)
     return momentum
 
 
@@ -215,13 +215,14 @@ def cmd_extend(pf, args):
     _require_zeta(pf, "extend")
     analysis = analyze(pf.module, pf.omega)
     if args.kind == "cen":
-        ext = central_extension(_file_momentum(pf, analysis))
+        ext = central_extension(_momentum_map(analysis, pf.zeta, pf.momentum))
         meta = _extension_metadata(ext)
     elif args.kind == "ab":
         ext = abelian_extension(analysis, pf.zeta)
         meta = _extension_metadata(ext)
     else:
-        result = baer_product(analysis, pf.zeta, momentum=_file_momentum(pf, analysis))
+        momentum = _momentum_map(analysis, pf.zeta, pf.momentum)
+        result = baer_product(analysis, pf.zeta, momentum=momentum)
         ext = result.extension
         meta = _extension_metadata(ext)
         meta["equivalence"] = grid_of(result.equivalence)
@@ -235,7 +236,7 @@ def cmd_extend(pf, args):
 def cmd_momentum(pf, args):
     _require_zeta(pf, "momentum")
     analysis = analyze(pf.module, pf.omega)
-    momentum = _file_momentum(pf, analysis)
+    momentum = _momentum_map(analysis, pf.zeta, pf.momentum)
     tau = obstruction_cocycle(momentum)
     correction = equivariantize(momentum)
     data = {
@@ -320,13 +321,6 @@ def _report_data(report):
     }
 
 
-def _spec_momentum(analysis, hom, supplied):
-    if supplied is not None:
-        return MomentumMap(analysis, hom, supplied)
-    momentum, _ = solve_momentum(analysis, hom)
-    return momentum
-
-
 def cmd_noether(pf, args):
     if pf.noether is None:
         raise ValidationError("$.noether", "the noether command needs a noether block")
@@ -335,7 +329,7 @@ def cmd_noether(pf, args):
     flow = pf.noether.invariant_flow
     if flow is not None:
         hom = _span_hom(pf.algebra, flow.generators)
-        momentum, _ = solve_momentum(analysis, hom)
+        momentum = _momentum_map(analysis, hom, None)
         data["invariant_flow"] = _report_data(
             invariant_flow_check(analysis, momentum, flow.v, flow.xi)
         )
@@ -343,8 +337,8 @@ def cmd_noether(pf, args):
     if com is not None:
         hom1 = _span_hom(pf.algebra, com.g1)
         hom2 = _span_hom(pf.algebra, com.g2)
-        momentum1 = _spec_momentum(analysis, hom1, com.j1)
-        momentum2 = _spec_momentum(analysis, hom2, com.j2)
+        momentum1 = _momentum_map(analysis, hom1, com.j1)
+        momentum2 = _momentum_map(analysis, hom2, com.j2)
         data["commuting"] = _report_data(
             commuting_actions_check(analysis, momentum1, momentum2)
         )

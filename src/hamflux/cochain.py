@@ -100,18 +100,26 @@ class Cochain:
 
     @classmethod
     def from_dict(cls, module, degree, entries):
-        """Build from {index tuple: value vector}; tuples may be unordered."""
+        """Build from {index tuple: value vector}; tuples may be unordered.
+
+        Every key must have `degree` indices and every value module.dim
+        entries."""
         m = module.dim
         coords = [_ZERO] * cochain_dim(module, degree)
         _, index = tuple_basis(module.algebra.dim, degree)
         for t, val in entries.items():
+            if len(t) != degree:
+                raise ValueError(f"index tuple {t} does not have {degree} indices")
+            val = vector(val)
+            if len(val) != m:
+                raise ValueError(f"value at {t} does not have {m} entries")
             sign, key = sort_with_sign(t)
             if sign == 0:
-                if not all(x == 0 for x in vector(val)):
+                if not all(x == 0 for x in val):
                     raise ValueError(f"repeated indices {t} with nonzero value")
                 continue
             base = index[key] * m
-            for j, x in enumerate(vector(val)):
+            for j, x in enumerate(val):
                 coords[base + j] += sign * x
         return cls(module, degree, coords)
 
@@ -222,29 +230,15 @@ def _assemble_differential(module, p):
             add(rows[ob + a], ib + a, c)
 
     struct = module.algebra._sparse
-
-    if p == 0:
-        for (x,) in out_tuples:
-            add_action((x,), x, (), 1)
-    elif p == 1:
-        for t in out_tuples:
-            a, b = t
-            add_action(t, a, (b,), 1)
-            add_action(t, b, (a,), -1)
-            for k, coef in struct[a][b]:
-                add_identity(t, (k,), -coef)
-    else:
-        for t in out_tuples:
-            a, b, c = t
-            add_action(t, a, (b, c), 1)
-            add_action(t, b, (a, c), -1)
-            add_action(t, c, (a, b), 1)
-            for k, coef in struct[a][b]:
-                add_identity(t, (k, c), -coef)
-            for k, coef in struct[a][c]:
-                add_identity(t, (k, b), coef)
-            for k, coef in struct[b][c]:
-                add_identity(t, (k, a), -coef)
+    # (d c)(t) = sum_i (-1)^i t_i . c(t without t_i)
+    #          + sum_{i<j} (-1)^(i+j) c([t_i, t_j], t without t_i, t_j)
+    for t in out_tuples:
+        for i, x in enumerate(t):
+            add_action(t, x, t[:i] + t[i + 1 :], (-1) ** i)
+            for j in range(i + 1, p + 1):
+                rest = t[:i] + t[i + 1 : j] + t[j + 1 :]
+                for k, coef in struct[x][t[j]]:
+                    add_identity(t, (k,) + rest, (-1) ** (i + j) * coef)
     return Matrix._from_sparse(
         (tuple((j, x) for j, x in sorted(row.items()) if x) for row in rows),
         len(in_tuples) * m,

@@ -261,10 +261,9 @@ def associative_algebra_example(mult_table):
     return InstanceBundle("associative_algebra", module, omega, zeta, expected)
 
 
-def upper_triangular_table(n):
-    """Multiplication table of upper-triangular n x n matrices, basis E_ij
-    (i <= j) ordered row-major."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+def _matrix_unit_table(pairs):
+    """Multiplication table of the matrix units E_ij, (i, j) in pairs, on that
+    basis: E_ij E_kl = E_il when j == k and 0 otherwise."""
     index = {p: a for a, p in enumerate(pairs)}
     dim = len(pairs)
     table = []
@@ -279,21 +278,15 @@ def upper_triangular_table(n):
     return table
 
 
+def upper_triangular_table(n):
+    """Multiplication table of upper-triangular n x n matrices, basis E_ij
+    (i <= j) ordered row-major."""
+    return _matrix_unit_table([(i, j) for i in range(n) for j in range(i, n)])
+
+
 def full_matrix_table(n):
     """Multiplication table of all n x n matrices, basis E_ij row-major."""
-    dim = n * n
-    table = []
-    for a in range(dim):
-        i, j = divmod(a, n)
-        row = []
-        for b in range(dim):
-            k, l = divmod(b, n)
-            v = [0] * dim
-            if j == k:
-                v[i * n + l] = 1
-            row.append(tuple(v))
-        table.append(row)
-    return table
+    return _matrix_unit_table([(i, j) for i in range(n) for j in range(n)])
 
 
 _SMALL = [Fraction(x) for x in (-2, -1, -1, 1, 1, 2, 3)] + [Fraction(1, 2)]
@@ -359,12 +352,7 @@ def _random_module(rng, algebra, m, attempt):
         shift = Matrix.from_columns(
             [unit_vector(m, c + 1) for c in range(m - 1)] + [zero_vector(m)], m
         )
-        image_indices = set()
-        for i in range(n):
-            for j in range(n):
-                for k, x in enumerate(algebra.structure[i][j]):
-                    if x:
-                        image_indices.add(k)
+        image_indices = {k for row in algebra._sparse for v in row for k, _ in v}
         mats = []
         for i in range(n):
             if i in image_indices:

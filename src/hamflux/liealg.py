@@ -31,16 +31,16 @@ from hamflux.linalg import (
 class LieAlgebra:
     """Lie algebra given by structure constants on a fixed basis.
 
-    structure[i][j] is the coordinate vector of [e_i, e_j]. The same table is
-    kept as canonical sparse rows, _sparse[i][j] holding the (l, Fraction)
-    pairs of [e_i, e_j] in the form of Matrix.sparse_rows; validation,
-    brackets and algebra maps read only its nonzeros. Construction checks
+    The constants are stored once, as canonical sparse rows: _sparse[i][j]
+    holds the (l, Fraction) pairs of [e_i, e_j] in the form of
+    Matrix.sparse_rows. structure[i][j], the dense coordinate vector of
+    [e_i, e_j], is derived from it on each call. Construction checks
     antisymmetry on all pairs and the Jacobi identity on strictly increasing
     triples; with antisymmetry in hand, multilinearity extends the identity
     from those triples to arbitrary arguments.
     """
 
-    __slots__ = ("dim", "structure", "_sparse")
+    __slots__ = ("dim", "_sparse")
 
     def __init__(self, structure):
         table = tuple(tuple(vector(v) for v in row) for row in structure)
@@ -49,21 +49,26 @@ class LieAlgebra:
             if len(row) != n or any(len(v) != n for v in row):
                 raise ValueError("structure table must be n x n with length-n values")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "structure", table)
-        sparse = tuple(tuple(map(_sparse, row)) for row in table)
-        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_sparse", tuple(tuple(map(_sparse, row)) for row in table))
         self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
+    @property
+    def structure(self):
+        """Dense table of the constants, derived from the sparse rows."""
+        n = self.dim
+        return tuple(tuple(_dense(v, n) for v in row) for row in self._sparse)
+
     def _validate(self):
-        n, c, s = self.dim, self.structure, self._sparse
+        n, s = self.dim, self._sparse
         for i in range(n):
             if s[i][i]:
-                raise AntisymmetryViolation(i, i, c[i][i])
+                raise AntisymmetryViolation(i, i, self.structure[i][i])
             for j in range(i + 1, n):
                 if s[i][j] != tuple((l, -x) for l, x in s[j][i]):
+                    c = self.structure  # dense values only for the message
                     raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
         # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k]
         for i in range(n):
@@ -111,10 +116,10 @@ class LieAlgebra:
         return Matrix._from_sparse(cols, self.dim).transpose()
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self.structure == other.structure
+        return isinstance(other, LieAlgebra) and self._sparse == other._sparse
 
     def __hash__(self):
-        return hash(self.structure)
+        return hash(self._sparse)
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
@@ -165,10 +170,10 @@ class LieModule:
         raise AttributeError("LieModule is immutable")
 
     def _validate(self):
-        n = self.algebra.dim
+        n, c = self.algebra.dim, self.algebra.structure
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self.action_of(self.algebra.structure[i][j])
+                lhs = self.action_of(c[i][j])
                 rhs = self.action[i] * self.action[j] - self.action[j] * self.action[i]
                 if lhs != rhs:
                     raise HomViolation(i, j)

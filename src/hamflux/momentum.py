@@ -162,10 +162,10 @@ def _derive_tau(momentum):
     omega_g = pullback_cocycle(analysis, zeta)
     pb = omega_g.module
     J = momentum.matrix
-    z, j_cols = zeta.matrix.columns(), J.columns()
+    z, j_cols, c = zeta.matrix.columns(), J.columns(), g.structure
 
     def tau_value(i, j):
-        return vec_sub(analysis.module.act(z[i], j_cols[j]), J.apply(g.structure[i][j]))
+        return vec_sub(analysis.module.act(z[i], j_cols[j]), J.apply(c[i][j]))
 
     tau = Cochain.from_values(pb, 2, tau_value)
     for i in range(g.dim):
@@ -253,38 +253,50 @@ def _block_presentation(kind, total, base, k):
     )
 
 
-def _semidirect_table(analysis, acting, base, cocycle=None):
-    """Structure table of V_omega x_c base on admissible coordinates followed
-    by base coordinates.
-
-    Base element e_a acts on V_omega through acting[a], a vector of the
-    module's algebra, and [e_a, e_b] = (c(a, b), [e_a, e_b]) for the
-    2-cochain c = cocycle, or zero when it is None.
-    """
-    adm = analysis.admissible
-    k = adm.dim
+def _extension_table(k, base, action, head):
+    """Structure table of an extension of base by a k-dim abelian kernel, on
+    kernel coordinates followed by base coordinates: e_a sends kernel basis
+    vector i to action[a][i] (zero when action is None), and
+    [e_a, e_b] = (head(a, b), [e_a, e_b]) (zero head when head is None)."""
     n = k + base.dim
-    tail = zero_vector(base.dim)
+    tail, c = zero_vector(base.dim), base.structure
+    table = [[zero_vector(n)] * n for _ in range(n)]
+    for a in range(base.dim):
+        for i, w in enumerate(() if action is None else action[a]):
+            table[k + a][i] = w + tail
+            table[i][k + a] = vec_neg(w) + tail
+        for b in range(base.dim):
+            if a != b:
+                h = zero_vector(k) if head is None else head(a, b)
+                table[k + a][k + b] = h + c[a][b]
+    return tuple(map(tuple, table))
 
-    def into_adm(v):
+
+def _in_admissible(analysis, f):
+    """f with its vector values in admissible coordinates."""
+
+    def coords(*args):
         try:
-            return adm.coords_of(v)
+            return analysis.admissible.coords_of(f(*args))
         except Unsolvable:
             raise HamfluxError(
                 "value escaped the admissible vectors; zeta image not hamiltonian"
             ) from None
 
-    table = [[zero_vector(n)] * n for _ in range(n)]
-    for a, xi in enumerate(acting):
-        for i in range(k):
-            w = into_adm(analysis.module.act(xi, adm.basis.column(i)))
-            table[k + a][i] = w + tail
-            table[i][k + a] = vec_neg(w) + tail
-        for b in range(base.dim):
-            if a != b:
-                head = zero_vector(k) if cocycle is None else into_adm(cocycle.value(a, b))
-                table[k + a][k + b] = head + base.structure[a][b]
-    return tuple(map(tuple, table))
+    return coords
+
+
+def _admissible_action(analysis, zeta):
+    """g acting on V_omega through zeta in admissible coordinates:
+    entry [a][i] is zeta(e_a) applied to admissible basis vector i, derived
+    once per (analysis, zeta)."""
+    store = _action_store(analysis, zeta)
+    if "admissible_action" not in store:
+        act, adm = _in_admissible(analysis, analysis.module.act), analysis.admissible
+        store["admissible_action"] = tuple(
+            tuple(act(xi, v) for v in adm.basis.columns()) for xi in zeta.matrix.columns()
+        )
+    return store["admissible_action"]
 
 
 def central_extension(momentum):
@@ -295,11 +307,7 @@ def central_extension(momentum):
         g = momentum.g
         tau_t = obstruction_as_invariant_cochain(momentum)
         k = tau_t.module.dim
-        n = k + g.dim
-        table = [[zero_vector(n)] * n for _ in range(n)]
-        for l in range(g.dim):
-            for p in range(g.dim):
-                table[k + l][k + p] = tau_t.value(l, p) + g.structure[l][p]
+        table = _extension_table(k, g, None, tau_t.value)
         cache["central"] = _block_presentation("central", LieAlgebra(table), g, k)
     return cache["central"]
 
@@ -311,10 +319,10 @@ def abelian_extension(analysis, zeta):
     if "abelian" not in store:
         omega_g = pullback_cocycle(analysis, zeta)
         g = zeta.source
-        table = _semidirect_table(analysis, zeta.matrix.columns(), g, omega_g)
-        store["abelian"] = _block_presentation(
-            "abelian", LieAlgebra(table), g, analysis.admissible.dim
-        )
+        k = analysis.admissible.dim
+        head = _in_admissible(analysis, omega_g.value)
+        table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
+        store["abelian"] = _block_presentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]
 
 
@@ -434,10 +442,10 @@ def coboundary_trivialization(momentum, alpha):
         cols.append(f)
     f_mat = Matrix.from_columns(cols, analysis.module.dim)
     # tau = d f for the trivial action: tau(X,Y) = -f([X,Y])
-    tau = obstruction_cocycle(momentum)
+    tau, c = obstruction_cocycle(momentum), g.structure
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            expected = tuple(-x for x in f_mat.apply(g.structure[i][j]))
+            expected = tuple(-x for x in f_mat.apply(c[i][j]))
             if tau.value(i, j) != expected:
                 raise HamfluxError("tau != d f in the exact case")
     return f_mat
@@ -450,7 +458,7 @@ def equivariant_pair_check(momentum):
     analysis = momentum.analysis
     g = momentum.g
     zeta = momentum.zeta
-    J = momentum.matrix
+    J, c = momentum.matrix, g.structure
     tau = obstruction_cocycle(momentum)
 
     poisson_ok = True
@@ -458,7 +466,7 @@ def equivariant_pair_check(momentum):
     section_ok = True
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            jb = J.apply(g.structure[i][j])
+            jb = J.apply(c[i][j])
             if analysis.poisson_bracket(J.column(i), J.column(j)) != jb:
                 poisson_ok = False
             if analysis.module.act(zeta.matrix.column(i), J.column(j)) != jb:
@@ -466,7 +474,7 @@ def equivariant_pair_check(momentum):
             pi = hamiltonian_pair(analysis, J.column(i), zeta.matrix.column(i))
             pj = hamiltonian_pair(analysis, J.column(j), zeta.matrix.column(j))
             out = pair_bracket(analysis, pi, pj)
-            if out.v != jb or out.xi != zeta.matrix.apply(g.structure[i][j]):
+            if out.v != jb or out.xi != zeta.matrix.apply(c[i][j]):
                 section_ok = False
     report = {
         "poisson_map": poisson_ok,
@@ -512,9 +520,11 @@ def baer_product(analysis, zeta, momentum=None):
     cen = central.total
     nW = k2 + cen.dim
 
-    # semidirect sum: cen acts on V_omega through its projection to g
-    acting = [zeta.matrix.apply(x) for x in central.projection.columns()]
-    W = LieAlgebra(_semidirect_table(analysis, acting, cen))
+    # semidirect sum: cen acts on V_omega through its projection to g, so
+    # its V^h slots act by zero
+    action = _admissible_action(analysis, zeta)
+    idle = ((zero_vector(k2),) * k2,) * k
+    W = LieAlgebra(_extension_table(k2, cen, idle + action, None))
 
     # central antidiagonal {(incl z, -z, 0)}; V^h sits inside V_omega
     anti = [
@@ -536,14 +546,14 @@ def baer_product(analysis, zeta, momentum=None):
     q = quotient_map(nW, delta)
     slots = list(range(k2)) + [k2 + k + l for l in range(ng)]
     to_final = Matrix.from_columns([q.column(a) for a in slots], nW - k).inverse() * q
-    total = LieAlgebra(
-        [[to_final.apply(W.structure[a][b]) for b in slots] for a in slots]
-    )
+    w = W.structure
+    total = LieAlgebra([[to_final.apply(w[a][b]) for b in slots] for a in slots])
     result = _block_presentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
     tau = obstruction_cocycle(momentum)
-    if total.structure != _semidirect_table(analysis, zeta.matrix.columns(), g, tau):
+    expected = _extension_table(k2, g, action, _in_admissible(analysis, tau.value))
+    if total.structure != expected:
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 
     ab = abelian_extension(analysis, zeta)

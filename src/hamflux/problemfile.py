@@ -451,9 +451,8 @@ def structure_rows(algebra):
     rows = []
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            for k, c in enumerate(algebra.structure[i][j]):
-                if c:
-                    rows.append([i, j, k, rat_str(c)])
+            for k, c in algebra._sparse[i][j]:
+                rows.append([i, j, k, rat_str(c)])
     return rows
 
 
@@ -484,7 +483,7 @@ def serialize_problem(pf):
     doc["omega"] = cochain_rows(pf.omega)
     if pf.zeta is not None:
         block = {"matrix": grid_of(pf.zeta.matrix)}
-        if pf.zeta.source.structure != pf.algebra.structure:
+        if pf.zeta.source != pf.algebra:
             block["g_algebra"] = algebra_block(pf.zeta.source)
         doc["zeta"] = block
     if pf.momentum is not None:

@@ -23,7 +23,7 @@ from hamflux.cochain import (
 )
 from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.liealg import LieAlgebra, LieModule, adjoint_module
-from hamflux.linalg import Subspace, vec_add, vec_scale, zero_vector
+from hamflux.linalg import Matrix, Subspace, unit_vector, vec_add, vec_scale, zero_vector
 from util import heis3, heis_pair_instance, sl2, solvable2
 
 
@@ -79,9 +79,16 @@ def sample_cochain(module, degree, salt=1):
 @pytest.mark.parametrize("mod_idx", range(5))
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_differential_matches_naive_formula(mod_idx, degree):
+    # d of the i-th basis cochain is column i of the matrix, so comparing every
+    # column catches a wrong sign on any single term of the alternating sum
     mod = sample_modules()[mod_idx]
-    c = sample_cochain(mod, degree)
-    assert differential(c) == naive_differential(c)
+    dim = cochain_dim(mod, degree)
+    cols = [
+        naive_differential(Cochain(mod, degree, unit_vector(dim, i))).coords
+        for i in range(dim)
+    ]
+    expected = Matrix.from_columns(cols, cochain_dim(mod, degree + 1))
+    assert differential_matrix(mod, degree) == expected
 
 
 @pytest.mark.parametrize("mod_idx", range(5))
@@ -124,6 +131,21 @@ def test_from_dict_sign_normalization():
     assert a == b
     with pytest.raises(ValueError):
         Cochain.from_dict(mod, 2, {(1, 1): (0, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1): (1, 2, 3)},  # would spill its 3 into the block of (0, 2)
+        {(0, 1): (5,)},  # would be read as (5, 0)
+        {(1, 2): (1, 2, 3)},  # over-long on the last tuple
+        {(0, 1, 2): (1, 2)},  # a 3-index key for a 2-cochain
+    ],
+)
+def test_from_dict_rejects_wrong_lengths(entries):
+    mod = LieModule.trivial(heis3(), 2)
+    with pytest.raises(ValueError):
+        Cochain.from_dict(mod, 2, entries)
 
 
 def test_contract_heis_pair_omega():

@@ -21,7 +21,7 @@ from hamflux.liealg import (
     center,
     subalgebra,
 )
-from hamflux.linalg import Matrix, Subspace, unit_vector
+from hamflux.linalg import Matrix, Subspace, unit_vector, vector
 from util import heis3, sl2, solvable2
 
 
@@ -306,6 +306,21 @@ def test_sparse_table_is_canonical(case):
             assert cols == sorted(set(cols))
             assert all(type(x) is F and x != 0 for _, x in row)
             assert tuple(row) == tuple((l, x) for l, x in enumerate(g.structure[i][j]) if x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(changed_bases(), changed_bases())
+def test_structure_is_derived_and_equality_follows_it(case1, case2):
+    # structure is derived from the one stored sparse table; == and hash read
+    # that table, so they must agree with the dense tables
+    t1, t2 = (tuple(tuple(vector(v) for v in row) for row in c[1]) for c in (case1, case2))
+    g1, g2 = LieAlgebra(case1[1]), LieAlgebra(case2[1])
+    assert g1.structure == t1 and g2.structure == t2
+    assert (g1 == g2) == (t1 == t2)
+    if t1 == t2:
+        assert hash(g1) == hash(g2)
+    again = LieAlgebra(t1)
+    assert again == g1 and hash(again) == hash(g1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from hamflux.errors import (
 )
 from hamflux.hamiltonian import analyze
 from hamflux.liealg import AlgebraHom, LieAlgebra
-from hamflux.linalg import Matrix
+from hamflux.linalg import Matrix, Subspace
 from hamflux.momentum import (
     ExtensionPresentation,
     MomentumMap,
@@ -315,8 +315,19 @@ def test_derived_once_per_action(monkeypatch):
     momentum, _ = solve_momentum(analysis, zeta)
     equivariantize(momentum)
     central_extension(momentum)
+    # the admissible action is derived once for the abelian table, W and the
+    # tau check together: one act per (basis element of g, admissible vector)
+    acts = []
+    act = type(module).act
+
+    def counting_act(self, x, v):
+        acts.append(x)
+        return act(self, x, v)
+
+    monkeypatch.setattr(type(module), "act", counting_act)
     abelian_extension(analysis, zeta)
     baer_product(analysis, zeta, momentum=momentum)
+    assert len(acts) == module.algebra.dim * analysis.admissible.dim
     # the store is keyed by value: an equal action reuses it
     abelian_extension(analysis, AlgebraHom(zeta.source, zeta.target, zeta.matrix))
     assert len(builds) == 1
@@ -327,3 +338,34 @@ def test_derived_once_per_action(monkeypatch):
     assert baer_product(analysis, zeta, momentum=momentum).abelian is abelian_extension(
         analysis, zeta
     )
+
+
+def test_abelian_extension_rejects_values_outside_admissible(monkeypatch):
+    module, omega = heis_pair_instance()
+    analysis = analyze(module, omega)
+    zeta = AlgebraHom.identity(module.algebra)
+    # drop Z from the admissible vectors: x . Y = Z then escapes them
+    kept = analysis.admissible.basis.columns()[:2]
+    monkeypatch.setattr(analysis, "admissible", Subspace.from_vectors(module.dim, kept))
+    with pytest.raises(HamfluxError) as err:
+        abelian_extension(analysis, zeta)
+    assert type(err.value) is HamfluxError
+    assert str(err.value) == (
+        "value escaped the admissible vectors; zeta image not hamiltonian"
+    )
+
+
+def test_baer_product_checks_the_tau_cocycle(monkeypatch):
+    module, omega = heis_pair_instance()
+    analysis = analyze(module, omega)
+    zeta = AlgebraHom.identity(module.algebra)
+    momentum, _ = solve_momentum(analysis, zeta)
+    tau = obstruction_cocycle(momentum)
+    assert not tau.is_zero()
+    central_extension(momentum)
+    # the quotient carries the true tau, the check now expects zero
+    monkeypatch.setitem(momentum._cache, "tau", Cochain.zero(tau.module, 2))
+    with pytest.raises(HamfluxError) as err:
+        baer_product(analysis, zeta, momentum=momentum)
+    assert type(err.value) is HamfluxError
+    assert str(err.value) == "Baer product is not V_omega with the tau cocycle over g"
