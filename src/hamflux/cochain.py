@@ -127,10 +127,13 @@ class Cochain:
         """Value on basis elements, any index order; zero on repeats."""
         if len(idx) != self.degree:
             raise ValueError("wrong number of indices")
+        n = self.module.algebra.dim
+        if not all(0 <= i < n for i in idx):
+            raise ValueError(f"basis index outside 0..{n - 1}")
         sign, key = sort_with_sign(idx)
         if sign == 0:
             return zero_vector(self.module.dim)
-        _, index = tuple_basis(self.module.algebra.dim, self.degree)
+        _, index = tuple_basis(n, self.degree)
         base = index[key] * self.module.dim
         chunk = self.coords[base : base + self.module.dim]
         return chunk if sign == 1 else tuple(-x for x in chunk)
@@ -258,8 +261,11 @@ def contract(xi, c):
     if c.degree == 0:
         raise DegreeZero("cannot contract a degree-0 cochain")
     xi = vector(xi)
+    n = c.module.algebra.dim
+    if len(xi) != n:
+        raise ValueError(f"xi must have {n} entries")
     m = c.module.dim
-    out_tuples, _ = tuple_basis(c.module.algebra.dim, c.degree - 1)
+    out_tuples, _ = tuple_basis(n, c.degree - 1)
     coords = []
     for s in out_tuples:
         coords.extend(lincomb(((x, c.value(i, *s)) for i, x in enumerate(xi) if x), m))

@@ -26,7 +26,6 @@ from hamflux.cochain import (
     contract,
     differential,
     differential_matrix,
-    invariant_vectors,
 )
 from hamflux.errors import (
     InvariantViolation,
@@ -79,8 +78,11 @@ class HamiltonianAnalysis:
         self.symplectic = kernel_basis(
             vstack(d1 * self._contraction, self._contraction3)
         )
-        self.radical = kernel_basis(vstack(self._contraction, self._contraction3))
-        self.invariants = invariant_vectors(module)
+        # the radical and V^h are the kernels of the two stored solvers
+        self._lift_solver = LinearSolver(vstack(self._contraction, self._contraction3))
+        self._potential_solver = LinearSolver(self._d0)
+        self.radical = self._lift_solver.kernel()
+        self.invariants = self._potential_solver.kernel()
 
         # pairs (xi, v) with i_xi omega = d v and i_xi d(omega) = 0; the xi
         # projection is the hamiltonian subalgebra, the v projection the
@@ -97,9 +99,6 @@ class HamiltonianAnalysis:
         )
 
         self.normalizer = self._compute_normalizer()
-
-        self._lift_solver = LinearSolver(vstack(self._contraction, self._contraction3))
-        self._potential_solver = LinearSolver(self._d0)
         # objects hamflux.momentum derives from an action zeta, keyed by
         # (zeta.source, zeta.matrix)
         self._actions = {}

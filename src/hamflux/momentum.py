@@ -46,6 +46,7 @@ from hamflux.linalg import (
     vec_neg,
     vec_sub,
     vector,
+    vstack,
     zero_vector,
 )
 
@@ -199,58 +200,48 @@ def obstruction_as_invariant_cochain(momentum):
 
 @dataclass(frozen=True)
 class ExtensionPresentation:
-    """A Lie algebra extension kernel -> total -> base in fixed coordinates.
+    """A Lie algebra extension kernel -> total -> base in block form.
 
-    injection embeds the kernel as the first coordinates, projection kills
-    them, and section is a linear right inverse of projection sending base
-    basis to the corresponding tail coordinates.
+    The kernel is the first kernel_dim coordinates of total and base the
+    remaining ones, so injection, projection and its right inverse section
+    are the coordinate inclusions and projection, derived on each access.
     """
 
     kind: str
     total: LieAlgebra
     base: LieAlgebra
     kernel_dim: int
-    injection: Matrix
-    projection: Matrix
-    section: Matrix
 
     def __post_init__(self):
-        t, b, k = self.total, self.base, self.kernel_dim
-        if (self.projection * self.injection) != Matrix.zeros(b.dim, k):
-            raise HamfluxError("projection does not kill the kernel")
-        if (self.projection * self.section) != Matrix.identity(b.dim):
-            raise HamfluxError("section is not a right inverse of the projection")
+        t, k = self.total, self.kernel_dim
+        if k < 0 or t.dim != k + self.base.dim:
+            raise ValueError("total.dim must be kernel_dim + base.dim")
+        # With the sequence exact, ker(projection) is exactly the first k
+        # coordinates. A projection that preserves brackets sends [e_i, e_z]
+        # to [P e_i, 0] = 0 for z < k, so this check also proves the kernel
+        # is an ideal.
         try:
-            AlgebraHom(t, b, self.projection)
+            AlgebraHom(t, self.base, self.projection)
         except BracketViolation:
             raise HamfluxError("projection is not an algebra map") from None
-        central = self.kind == "central"
-        kernel_cols = self.injection.columns()
-        kernel_space = Subspace.from_vectors(t.dim, kernel_cols)
-        for i in range(t.dim):
-            for z in kernel_cols:
-                w = t.bracket(unit_vector(t.dim, i), z)
-                if central:
-                    if any(x != 0 for x in w):
-                        raise HamfluxError("kernel is not central")
-                elif not kernel_space.contains(w):
-                    raise HamfluxError("kernel is not an ideal")
+        if self.kind == "central" and any(
+            t._sparse[i][z] for i in range(t.dim) for z in range(k)
+        ):
+            raise HamfluxError("kernel is not central")
 
+    @property
+    def injection(self):
+        k, b = self.kernel_dim, self.base.dim
+        return vstack(Matrix.identity(k), Matrix.zeros(b, k))
 
-def _block_presentation(kind, total, base, k):
-    """The extension with its kernel on the first k coordinates of total and
-    base on the remaining ones."""
-    n = total.dim
-    tail = [unit_vector(n, k + i) for i in range(base.dim)]
-    return ExtensionPresentation(
-        kind=kind,
-        total=total,
-        base=base,
-        kernel_dim=k,
-        injection=Matrix.from_columns([unit_vector(n, i) for i in range(k)], n),
-        projection=Matrix(tail, n),
-        section=Matrix.from_columns(tail, n),
-    )
+    @property
+    def projection(self):
+        k, b = self.kernel_dim, self.base.dim
+        return hstack(Matrix.zeros(b, k), Matrix.identity(b))
+
+    @property
+    def section(self):
+        return self.projection.transpose()
 
 
 def _extension_table(k, base, action, head):
@@ -308,7 +299,7 @@ def central_extension(momentum):
         tau_t = obstruction_as_invariant_cochain(momentum)
         k = tau_t.module.dim
         table = _extension_table(k, g, None, tau_t.value)
-        cache["central"] = _block_presentation("central", LieAlgebra(table), g, k)
+        cache["central"] = ExtensionPresentation("central", LieAlgebra(table), g, k)
     return cache["central"]
 
 
@@ -322,7 +313,7 @@ def abelian_extension(analysis, zeta):
         k = analysis.admissible.dim
         head = _in_admissible(analysis, omega_g.value)
         table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
-        store["abelian"] = _block_presentation("abelian", LieAlgebra(table), g, k)
+        store["abelian"] = ExtensionPresentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]
 
 
@@ -548,7 +539,7 @@ def baer_product(analysis, zeta, momentum=None):
     to_final = Matrix.from_columns([q.column(a) for a in slots], nW - k).inverse() * q
     w = W.structure
     total = LieAlgebra([[to_final.apply(w[a][b]) for b in slots] for a in slots])
-    result = _block_presentation("baer", total, g, k2)
+    result = ExtensionPresentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
     tau = obstruction_cocycle(momentum)

@@ -124,6 +124,20 @@ def test_value_antisymmetry_and_repeats():
     assert omega.value(0, 0) == (F(0), F(0), F(0))
 
 
+@pytest.mark.parametrize("idx", [(0, 5), (5, 0), (-1, 1), (2, 2)])
+def test_value_rejects_out_of_range_indices(idx):
+    mod, omega = heis_pair_instance()
+    with pytest.raises(ValueError):
+        omega.value(*idx)
+
+
+@pytest.mark.parametrize("xi", [(1,), (1, 0, 0), (0, 1, 1)])
+def test_contract_rejects_wrong_length(xi):
+    mod, omega = heis_pair_instance()
+    with pytest.raises(ValueError):
+        contract(xi, omega)
+
+
 def test_from_dict_sign_normalization():
     mod, _ = heis_pair_instance()
     a = Cochain.from_dict(mod, 2, {(0, 1): (0, 0, -1)})

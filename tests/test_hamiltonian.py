@@ -33,7 +33,7 @@ from hamflux.hamiltonian import (
 )
 from hamflux.liealg import LieAlgebra, LieModule
 from hamflux.linalg import Subspace, vector
-from util import heis3, heis_pair_instance, sl2
+from util import heis3, heis_pair_instance, sl2, sl2_adjoint_instance
 
 
 def point_symplectic():
@@ -250,3 +250,14 @@ def test_potential_of_round_trip():
     v = an.potential_of((1, 0))
     dv = differential(Cochain(an.module, 0, v))
     assert dv == contract((1, 0), an.omega)
+
+
+@pytest.mark.parametrize("xi", [(1,), (1, 0), (1, 0, 0, 0), (0, 0, 0, 1)])
+def test_queries_reject_wrong_length_vectors(xi):
+    an = analyze(*sl2_adjoint_instance())
+    with pytest.raises(ValueError):
+        an.potential_of(xi)
+    with pytest.raises(ValueError):
+        an.omega_value(xi, (0, 1, 0))
+    with pytest.raises(ValueError):
+        an.omega_value((0, 1, 0), xi)

@@ -20,7 +20,7 @@ from hamflux.errors import (
 )
 from hamflux.hamiltonian import analyze
 from hamflux.liealg import AlgebraHom, LieAlgebra
-from hamflux.linalg import Matrix, Subspace
+from hamflux.linalg import Matrix, Subspace, unit_vector
 from hamflux.momentum import (
     ExtensionPresentation,
     MomentumMap,
@@ -38,7 +38,7 @@ from hamflux.momentum import (
     solve_momentum,
 )
 
-from util import heis_pair_instance, sl2, sl2_adjoint_instance
+from util import heis3, heis_pair_instance, sl2, sl2_adjoint_instance, solvable2
 
 
 @pytest.fixture(scope="module")
@@ -273,31 +273,50 @@ def test_coboundary_trivialization():
         coboundary_trivialization(momentum, alpha_bad)
 
 
-def test_extension_presentation_validation():
-    from util import heis3
+def _reordered(alg, order):
+    """alg on the basis e_order[0], e_order[1], ..."""
+    s = alg.structure
+    return LieAlgebra([[tuple(s[i][j][o] for o in order) for j in order] for i in order])
 
-    hei = heis3()
-    # heis3 is a central extension of the abelian plane by its center
-    ExtensionPresentation(
-        kind="central",
-        total=hei,
-        base=LieAlgebra.abelian(2),
-        kernel_dim=1,
-        injection=Matrix([[0], [0], [1]]),
-        projection=Matrix([[1, 0, 0], [0, 1, 0]]),
-        section=Matrix([[1, 0], [0, 1], [0, 0]]),
-    )
+
+def test_extension_presentation_validation():
+    # heis3 on (Z, X, Y) is a central extension of the abelian plane by span Z
+    plane = LieAlgebra.abelian(2)
+    ext = ExtensionPresentation("central", _reordered(heis3(), (2, 0, 1)), plane, 1)
+    assert ext.injection == Matrix([[1], [0], [0]])
+    assert ext.projection == Matrix([[0, 1, 0], [0, 0, 1]])
+    assert ext.section == Matrix([[0, 0], [1, 0], [0, 1]])
     # span{h} is not an ideal of sl2, so the projection cannot be an algebra map
-    with pytest.raises(HamfluxError):
-        ExtensionPresentation(
-            kind="central",
-            total=sl2(),
-            base=LieAlgebra.abelian(2),
-            kernel_dim=1,
-            injection=Matrix([[0], [0], [1]]),
-            projection=Matrix([[1, 0, 0], [0, 1, 0]]),
-            section=Matrix([[1, 0], [0, 1], [0, 0]]),
-        )
+    with pytest.raises(HamfluxError, match="projection is not an algebra map"):
+        ExtensionPresentation("central", _reordered(sl2(), (2, 0, 1)), plane, 1)
+    # [x, y] = y on (y, x): span y is an ideal but not central
+    yx = _reordered(solvable2(), (1, 0))
+    ExtensionPresentation("abelian", yx, LieAlgebra.abelian(1), 1)
+    with pytest.raises(HamfluxError, match="kernel is not central"):
+        ExtensionPresentation("central", yx, LieAlgebra.abelian(1), 1)
+
+
+@pytest.mark.parametrize(
+    "total_dim, base_dim, kernel_dim", [(5, 2, 1), (3, 2, 2), (1, 2, -1)]
+)
+def test_extension_presentation_rejects_inexact_dimensions(
+    total_dim, base_dim, kernel_dim
+):
+    total, base = LieAlgebra.abelian(total_dim), LieAlgebra.abelian(base_dim)
+    with pytest.raises(ValueError, match="kernel_dim"):
+        ExtensionPresentation("abelian", total, base, kernel_dim)
+
+
+def test_extension_presentation_block_matrices(heis):
+    analysis, zeta, _, _ = heis
+    ext = abelian_extension(analysis, zeta)
+    n, k = ext.total.dim, ext.kernel_dim
+    assert k == 3
+    # the kernel on the first k coordinates, the base on the rest
+    tail = [unit_vector(n, k + i) for i in range(ext.base.dim)]
+    assert ext.injection == Matrix.from_columns([unit_vector(n, i) for i in range(k)], n)
+    assert ext.projection == Matrix(tail, n)
+    assert ext.section == Matrix.from_columns(tail, n)
 
 
 def test_derived_once_per_action(monkeypatch):
