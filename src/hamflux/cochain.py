@@ -272,6 +272,22 @@ def contract(xi, c):
     return Cochain(c.module, c.degree - 1, coords)
 
 
+def contraction_matrix(c):
+    """Columns i_{e_i} c for degree >= 1: row (s, a) of column i is
+    c(e_i, s)_a = (-1)^k c(t)_a, t the increasing tuple with t_k = i."""
+    n, m = c.module.algebra.dim, c.module.dim
+    tuples, _ = tuple_basis(n, c.degree)
+    _, out_index = tuple_basis(n, c.degree - 1)
+    rows = [[] for _ in range(cochain_dim(c.module, c.degree - 1))]
+    for pos, t in enumerate(tuples):
+        for k, i in enumerate(t):
+            base = out_index[t[:k] + t[k + 1 :]] * m
+            for a, x in enumerate(c.coords[pos * m : (pos + 1) * m]):
+                if x:
+                    rows[base + a].append((i, -x if k % 2 else x))
+    return Matrix._from_sparse(map(tuple, map(sorted, rows)), n)
+
+
 def lie_derivative(xi, c):
     """L_xi c = xi . c(...) minus the sum over slots of c(..., [xi, slot], ...)."""
     xi = vector(xi)

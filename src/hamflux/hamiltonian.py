@@ -1,7 +1,7 @@
 """Hamiltonian structure of a 2-cochain on a Lie algebra module.
 
 Given omega in C^2(h, V) (not assumed closed or nondegenerate), analyze()
-computes, as exact subspaces:
+returns an analysis that derives, as exact subspaces on first access:
 
     symplectic   sp  = {xi : d(i_xi omega) = 0 and i_xi(d omega) = 0}
     hamiltonian  ham = {xi : i_xi(d omega) = 0 and i_xi omega is exact}
@@ -18,12 +18,14 @@ independent of the lift choice because the lift is unique modulo the radical.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from hamflux.cochain import (
     Cochain,
     cochain_dim,
     cohomology,
     contract,
+    contraction_matrix,
     differential,
     differential_matrix,
 )
@@ -52,7 +54,7 @@ from hamflux.linalg import (
 
 
 class HamiltonianAnalysis:
-    """All derived subspaces and solvers for one (module, omega) pair."""
+    """Subspaces and solvers of one (module, omega) pair, derived on first use."""
 
     def __init__(self, module, omega):
         if omega.module != module or omega.degree != 2:
@@ -60,63 +62,72 @@ class HamiltonianAnalysis:
         self.module = module
         self.omega = omega
         self.d_omega = differential(omega)
-
-        n = module.algebra.dim
-        m = module.dim
         # columns: coordinates of i_{e_i} omega and i_{e_i} d(omega)
-        self._contraction = Matrix.from_columns(
-            [contract(unit_vector(n, i), omega).coords for i in range(n)],
-            cochain_dim(module, 1),
-        )
-        self._contraction3 = Matrix.from_columns(
-            [contract(unit_vector(n, i), self.d_omega).coords for i in range(n)],
-            cochain_dim(module, 2),
-        )
+        self._contraction = contraction_matrix(omega)
+        self._contraction3 = contraction_matrix(self.d_omega)
         self._d0 = differential_matrix(module, 0)
-        d1 = differential_matrix(module, 1)
-
-        self.symplectic = kernel_basis(
-            vstack(d1 * self._contraction, self._contraction3)
-        )
-        # the radical and V^h are the kernels of the two stored solvers
-        self._lift_solver = LinearSolver(vstack(self._contraction, self._contraction3))
-        self._potential_solver = LinearSolver(self._d0)
-        self.radical = self._lift_solver.kernel()
-        self.invariants = self._potential_solver.kernel()
-
-        # pairs (xi, v) with i_xi omega = d v and i_xi d(omega) = 0; the xi
-        # projection is the hamiltonian subalgebra, the v projection the
-        # admissible vectors
-        top = hstack(self._contraction, -1 * self._d0)
-        bottom = hstack(self._contraction3, Matrix.zeros(self._contraction3.nrows, m))
-        pair_kernel = kernel_basis(vstack(top, bottom))
-        self._pair_space = pair_kernel
-        self.hamiltonian = Subspace.from_vectors(
-            n, [p[:n] for p in pair_kernel.basis.columns()]
-        )
-        self.admissible = Subspace.from_vectors(
-            m, [p[n:] for p in pair_kernel.basis.columns()]
-        )
-
-        self.normalizer = self._compute_normalizer()
         # objects hamflux.momentum derives from an action zeta, keyed by
         # (zeta.source, zeta.matrix)
         self._actions = {}
 
-    def _compute_normalizer(self):
+    @cached_property
+    def symplectic(self):
+        d1 = differential_matrix(self.module, 1)
+        return kernel_basis(vstack(d1 * self._contraction, self._contraction3))
+
+    # the radical and V^h are the kernels of the two stored solvers
+    @cached_property
+    def _lift_solver(self):
+        return LinearSolver(vstack(self._contraction, self._contraction3))
+
+    @cached_property
+    def _potential_solver(self):
+        return LinearSolver(self._d0)
+
+    @cached_property
+    def radical(self):
+        return self._lift_solver.kernel()
+
+    @cached_property
+    def invariants(self):
+        return self._potential_solver.kernel()
+
+    @cached_property
+    def _pairs(self):
+        # pairs (xi, v) with i_xi omega = d v and i_xi d(omega) = 0; the xi
+        # projection is the hamiltonian subalgebra, the v projection the
+        # admissible vectors
+        c3, m = self._contraction3, self.module.dim
+        top = hstack(self._contraction, -1 * self._d0)
+        pairs = kernel_basis(vstack(top, hstack(c3, Matrix.zeros(c3.nrows, m))))
+        return pairs.basis.columns()
+
+    @cached_property
+    def hamiltonian(self):
         n = self.module.algebra.dim
+        return Subspace.from_vectors(n, [p[:n] for p in self._pairs])
+
+    @cached_property
+    def admissible(self):
+        n = self.module.algebra.dim
+        return Subspace.from_vectors(self.module.dim, [p[n:] for p in self._pairs])
+
+    @cached_property
+    def normalizer(self):
         alg = self.module.algebra
-        blocks = [self._contraction3]
+        n = alg.dim
+        stacked = self._contraction3
         if self.radical.dim:
             q = quotient_map(n, self.radical)
             for r in self.radical.basis.columns():
                 # xi -> [xi, r] composed with the quotient by the radical
                 cols = [alg.bracket(unit_vector(n, i), r) for i in range(n)]
-                blocks.append(q * Matrix.from_columns(cols, n))
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = vstack(stacked, b)
+                stacked = vstack(stacked, q * Matrix.from_columns(cols, n))
         return kernel_basis(stacked)
+
+    @cached_property
+    def _oneform_solver(self):
+        return LinearSolver(self._contraction * self.normalizer.basis)
 
     # -- solves ------------------------------------------------------------
 
@@ -243,18 +254,15 @@ def oneform_bracket(analysis, a1, a2):
     radical's normalizer; NotInImage when an argument is not such a
     contraction. Well defined because [normalizer, rad] lies in rad."""
     xs = []
-    basis = analysis.normalizer.basis
-    restricted = analysis._contraction * basis
-    solver = LinearSolver(restricted)
     for a in (a1, a2):
         if a.module != analysis.module or a.degree != 1:
             raise ValueError("arguments must be 1-cochains over the module")
         try:
-            t = solver.solve(a.coords)
+            t = analysis._oneform_solver.solve(a.coords)
         except Unsolvable:
             raise NotInImage(
                 "one-form is not i_xi omega for xi normalizing the radical"
             ) from None
-        xs.append(basis.apply(t))
+        xs.append(analysis.normalizer.basis.apply(t))
     bracket = analysis.module.algebra.bracket(xs[0], xs[1])
     return contract(bracket, analysis.omega)

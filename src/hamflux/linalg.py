@@ -9,9 +9,10 @@ call; no dense copy is kept.
 
 Everything reduces to one elimination kernel, _backend.rref_ints: sparse
 rows are scaled row-wise to dense integer rows, reduced by fraction-free
-Gauss-Jordan, and normalized back to sparse rational rows. All derived
-objects are canonical so that equal subspaces compare equal and repeated
-runs produce identical output:
+Gauss-Jordan, and normalized back to sparse rational rows. A LinearSolver
+reduces only a row basis of its matrix, found by eliminating the transpose.
+All derived objects are canonical so that equal subspaces compare equal and
+repeated runs produce identical output:
 
 - subspace bases are in reduced column echelon form (the transpose is the
   rational RREF of the spanning rows);
@@ -390,34 +391,34 @@ def solve_affine(m, b):
 class LinearSolver:
     """Stored factorization of a matrix for repeated exact solves.
 
-    Reduces [A | I] once; each solve is one sparse product. The transform
-    part T satisfies (row of R) = (row of T) . A throughout, so rows whose
-    R-part vanished give the consistency conditions T_r . b = 0 and the
-    others, divided by their pivot, read off the canonical (free variables
-    zero) solution.
+    Reduces [A_S | I] once, S the row basis of A given by the pivot columns
+    of RREF(A^T); RREF(A_S) = RREF(A), so pivots and kernel are those of A.
+    Each solve is one sparse product: (row of R) = (row of T) . A_S, so each
+    row divided by its pivot reads off the canonical (free variables zero)
+    solution from b_S, and the residual check A x = b rejects b outside the
+    image.
     """
 
     def __init__(self, m):
         self.matrix = m
         n = m.ncols
+        _, basis = _int_rref(m.transpose().sparse_rows, m.nrows)
         rows = []
-        for i, row in enumerate(m.sparse_rows):
-            aug = _int_row(row, n + m.nrows)
+        for i, k in enumerate(basis):
+            row = m.sparse_rows[k]
+            aug = _int_row(row, n + len(basis))
             # the row scaling multiplies the identity part too
             aug[n + i] = _row_scale(row)
             rows.append(aug)
-        reduced, pivots = rref_ints(rows, n + m.nrows)
-        self._a_pivots = []
-        self._a_rows = []  # sparse A part of each row with a pivot in A
-        transform = []  # its T part divided by the pivot value
-        for row, pc in zip(reduced, pivots):
-            if pc < n:
-                pv = row[pc]
-                self._a_pivots.append(pc)
-                self._a_rows.append(_sparse(row[:n]))
-                transform.append(
-                    tuple((j, Fraction(x, pv)) for j, x in enumerate(row[n:]) if x)
-                )
+        reduced, self._a_pivots = rref_ints(rows, n + len(basis))
+        self._a_rows = []  # sparse A part of each reduced row
+        transform = []  # its T part divided by the pivot value, on rows of A
+        for row, pc in zip(reduced, self._a_pivots):
+            pv = row[pc]
+            self._a_rows.append(_sparse(row[:n]))
+            transform.append(
+                tuple((basis[j], Fraction(x, pv)) for j, x in enumerate(row[n:]) if x)
+            )
         self._transform = Matrix._from_sparse(transform, m.nrows)
         self._kernel = None
 

@@ -152,7 +152,7 @@ def obstruction_cocycle(momentum):
     """
     cache = momentum._cache
     if "tau" not in cache:
-        cache["tau"] = _derive_tau(momentum)
+        cache["tau"], cache["tau_coords"] = _derive_tau(momentum)
     return cache["tau"]
 
 
@@ -169,16 +169,19 @@ def _derive_tau(momentum):
         return vec_sub(analysis.module.act(z[i], j_cols[j]), J.apply(c[i][j]))
 
     tau = Cochain.from_values(pb, 2, tau_value)
+    coords = []  # V^h coordinates of the values, in increasing (i, j) order
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            if not analysis.invariants.contains(tau.value(i, j)):
-                raise HamfluxError("obstruction value escaped the invariants")
+            try:
+                coords.extend(analysis.invariants.coords_of(tau.value(i, j)))
+            except Unsolvable:
+                raise HamfluxError("obstruction value escaped the invariants") from None
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
     j_cochain = Cochain(pb, 1, tuple(x for col in j_cols for x in col))
     if tau != differential(j_cochain) + omega_g:
         raise HamfluxError("tau != d J + omega_g; inconsistent data")
-    return tau
+    return tau, coords
 
 
 def obstruction_as_invariant_cochain(momentum):
@@ -186,13 +189,10 @@ def obstruction_as_invariant_cochain(momentum):
     momentum map."""
     cache = momentum._cache
     if "tau_invariant" not in cache:
-        analysis = momentum.analysis
-        tau = obstruction_cocycle(momentum)
+        obstruction_cocycle(momentum)
         # g acting trivially on V^h coordinates
-        triv = LieModule.trivial(momentum.g, analysis.invariants.dim)
-        cache["tau_invariant"] = Cochain.from_values(
-            triv, 2, lambda i, j: analysis.invariants.coords_of(tau.value(i, j))
-        )
+        triv = LieModule.trivial(momentum.g, momentum.analysis.invariants.dim)
+        cache["tau_invariant"] = Cochain(triv, 2, cache["tau_coords"])
     return cache["tau_invariant"]
 
 

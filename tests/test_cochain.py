@@ -4,6 +4,7 @@ operator identities (d^2 = 0, Cartan, commutation relations) are exercised on
 several modules.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from hamflux.cochain import (
     cochain_dim,
     cohomology,
     contract,
+    contraction_matrix,
     differential,
     differential_matrix,
     invariant_vectors,
@@ -22,6 +24,7 @@ from hamflux.cochain import (
     tuple_basis,
 )
 from hamflux.errors import DegreeZero, UnsupportedDegree
+from hamflux.gallery import random_instance
 from hamflux.liealg import LieAlgebra, LieModule, adjoint_module
 from hamflux.linalg import Matrix, Subspace, unit_vector, vec_add, vec_scale, zero_vector
 from util import heis3, heis_pair_instance, sl2, solvable2
@@ -168,6 +171,26 @@ def test_contract_heis_pair_omega():
     ix = contract((1, 0), omega)
     assert ix.value(1) == (F(0), F(0), F(-1))
     assert ix.value(0) == (F(0), F(0), F(0))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 3), (3, 5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_matrix_columns_are_contractions(dims, seed):
+    bundle = random_instance(dims, seed)
+    mod = bundle.module
+    n = mod.algebra.dim
+    rng = random.Random(seed)
+    values = (0, 0, 1, -2, F(3, 4))
+    # the gallery omega is closed, so degree 3 also gets an arbitrary cochain
+    arbitrary = [
+        Cochain(mod, p, [rng.choice(values) for _ in range(cochain_dim(mod, p))])
+        for p in (1, 2, 3)
+    ]
+    for c in arbitrary + [bundle.omega, differential(arbitrary[1])]:
+        built = contraction_matrix(c)
+        assert built.ncols == n and built.nrows == cochain_dim(mod, c.degree - 1)
+        for i in range(n):
+            assert built.column(i) == contract(unit_vector(n, i), c).coords
 
 
 def test_double_contraction_antisymmetry():

@@ -13,10 +13,19 @@ Instances frozen here (all values derived by hand from the definitions):
 """
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from hamflux.cochain import Cochain, contract, differential, lie_derivative
+import hamflux.hamiltonian
+from hamflux.cochain import (
+    Cochain,
+    cochain_dim,
+    contract,
+    differential,
+    differential_matrix,
+    lie_derivative,
+)
 from hamflux.errors import (
     InvariantViolation,
     NotAdmissible,
@@ -31,8 +40,26 @@ from hamflux.hamiltonian import (
     oneform_bracket,
     pair_bracket,
 )
-from hamflux.liealg import LieAlgebra, LieModule
-from hamflux.linalg import Subspace, vector
+from hamflux.gallery import matrix_algebra_example, random_instance
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
+from hamflux.linalg import (
+    LinearSolver,
+    Matrix,
+    Subspace,
+    hstack,
+    kernel_basis,
+    quotient_map,
+    unit_vector,
+    vector,
+    vstack,
+)
+from hamflux.momentum import (
+    abelian_extension,
+    baer_product,
+    central_extension,
+    equivariantize,
+    solve_momentum,
+)
 from util import heis3, heis_pair_instance, sl2, sl2_adjoint_instance
 
 
@@ -261,3 +288,127 @@ def test_queries_reject_wrong_length_vectors(xi):
         an.omega_value(xi, (0, 1, 0))
     with pytest.raises(ValueError):
         an.omega_value((0, 1, 0), xi)
+
+
+# -- the lattice is derived on first access --------------------------------------
+
+def eager_contraction(c):
+    n = c.module.algebra.dim
+    cols = [contract(unit_vector(n, i), c).coords for i in range(n)]
+    return Matrix.from_columns(cols, cochain_dim(c.module, c.degree - 1))
+
+
+def eager_lattice(module, omega):
+    """Every subspace by the formulas the analysis once evaluated up front."""
+    n, m = module.algebra.dim, module.dim
+    c2, c3 = eager_contraction(omega), eager_contraction(differential(omega))
+    d0, d1 = differential_matrix(module, 0), differential_matrix(module, 1)
+    radical = kernel_basis(vstack(c2, c3))
+    top = hstack(c2, -1 * d0)
+    bottom = hstack(c3, Matrix.zeros(c3.nrows, m))
+    pairs = kernel_basis(vstack(top, bottom)).basis.columns()
+    blocks = [c3]
+    if radical.dim:
+        q = quotient_map(n, radical)
+        for r in radical.basis.columns():
+            cols = [module.algebra.bracket(unit_vector(n, i), r) for i in range(n)]
+            blocks.append(q * Matrix.from_columns(cols, n))
+    stacked = blocks[0]
+    for b in blocks[1:]:
+        stacked = vstack(stacked, b)
+    return {
+        "_contraction": c2,
+        "_contraction3": c3,
+        "symplectic": kernel_basis(vstack(d1 * c2, c3)),
+        "radical": radical,
+        "invariants": kernel_basis(d0),
+        "hamiltonian": Subspace.from_vectors(n, [p[:n] for p in pairs]),
+        "admissible": Subspace.from_vectors(m, [p[n:] for p in pairs]),
+        "normalizer": kernel_basis(stacked),
+    }
+
+
+def random_pair(dims, seed):
+    bundle = random_instance(dims, seed)
+    return bundle.module, bundle.omega
+
+
+LATTICE_INSTANCES = {
+    "heis_pair": heis_pair_instance,
+    "point_symplectic": point_symplectic,
+    "heis3_trivial": heis3_trivial,
+    "sl2_trivial": sl2_trivial,
+    "rank_deficient": rank_deficient_line,
+    "sl2_adjoint": sl2_adjoint_instance,
+    **{
+        f"random_{dims[0]}x{dims[1]}_s{seed}": partial(random_pair, dims, seed)
+        for dims in [(3, 3), (4, 4), (5, 3), (3, 5)]
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_INSTANCES))
+def test_lazy_attributes_equal_the_eager_formulas(name):
+    module, omega = LATTICE_INSTANCES[name]()
+    an = analyze(module, omega)
+    expected = eager_lattice(module, omega)
+    for attr, value in expected.items():
+        assert getattr(an, attr) == value, attr
+        assert getattr(an, attr) is getattr(an, attr), attr
+    lift_matrix = vstack(expected["_contraction"], expected["_contraction3"])
+    assert an._lift_solver.matrix == lift_matrix
+    assert an._potential_solver.matrix == differential_matrix(module, 0)
+
+
+def action_instance(name):
+    if name == "sl3":
+        bundle = matrix_algebra_example(3)
+        return bundle.module, bundle.omega, bundle.zeta
+    module, omega = heis_pair_instance()
+    return module, omega, AlgebraHom.identity(module.algebra)
+
+
+@pytest.mark.parametrize("name", ["sl3", "heis"])
+def test_momentum_and_extensions_leave_the_rest_of_the_lattice_unbuilt(name):
+    module, omega, zeta = action_instance(name)
+    an = analyze(module, omega)
+    momentum, _ = solve_momentum(an, zeta)
+    central_extension(momentum)
+    abelian_extension(an, zeta)
+    baer_product(an, zeta, momentum=momentum)
+    equivariantize(momentum)
+    built = set(vars(an))
+    assert not built & {"symplectic", "radical", "normalizer", "_lift_solver"}
+    assert {"hamiltonian", "admissible", "invariants", "_potential_solver"} <= built
+
+
+ONEFORM_INSTANCES = [heis_pair_instance, sl2_adjoint_instance, sl2_trivial]
+
+
+@pytest.mark.parametrize("instance", ONEFORM_INSTANCES)
+def test_oneform_bracket_builds_its_solver_once(instance, monkeypatch):
+    an = analyze(*instance())
+    basis = an.normalizer.basis
+    xis = basis.columns() + [basis.apply((2,) * basis.ncols)]
+    forms = [contract(xi, an.omega) for xi in xis]
+
+    # one solver per call, as oneform_bracket built it before
+    def reference(a1, a2):
+        solver = LinearSolver(an._contraction * basis)
+        x1, x2 = (basis.apply(solver.solve(a.coords)) for a in (a1, a2))
+        return contract(an.module.algebra.bracket(x1, x2), an.omega)
+
+    pairs = [(i, j) for i in range(len(forms)) for j in range(len(forms))]
+    expected = {(i, j): reference(forms[i], forms[j]) for i, j in pairs}
+    built = []
+
+    def counting(m):
+        built.append(m)
+        return LinearSolver(m)
+
+    monkeypatch.setattr(hamflux.hamiltonian, "LinearSolver", counting)
+    for (i, j), value in expected.items():
+        assert oneform_bracket(an, forms[i], forms[j]) == value
+    assert len(built) == 1
+    assert vars(an)["_oneform_solver"] is an._oneform_solver

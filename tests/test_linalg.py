@@ -468,3 +468,122 @@ def test_views_stacks_and_scaling_match_dense_reference(case):
     pairs = [tuple(zip(ra, rb)) for ra, rb in zip(a, b)]
     assert (A + B).entries == tuple(tuple(x + y for x, y in p) for p in pairs)
     assert (A - B).entries == tuple(tuple(x - y for x, y in p) for p in pairs)
+
+
+# -- the row-basis solver against rref([A | b]) ----------------------------------
+
+def reference_solve(a, b):
+    """(solution, kernel) of a x = b read off rref([a | b]); None when a
+    pivot falls in the b column."""
+    n = a.ncols
+    r = rref(hstack(a, Matrix([[y] for y in b], 1)))
+    pivots = {}  # pivot column -> its row of r
+    for row in r.entries:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead == n:
+            return None
+        if lead is not None:
+            pivots[lead] = row
+    x = tuple(pivots[j][n] if j in pivots else F(0) for j in range(n))
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            kernel.append(tuple(
+                F(1) if j == f else -pivots[j][f] if j in pivots else F(0)
+                for j in range(n)
+            ))
+    return x, Subspace.from_vectors(n, kernel)
+
+
+def check_against_reference(a, b):
+    solver = LinearSolver(a)
+    ref = reference_solve(a, b)
+    if ref is None:
+        with pytest.raises(Unsolvable):
+            solver.solve(b)
+        with pytest.raises(Unsolvable):
+            solve_affine(a, b)
+        return
+    x, kernel = ref
+    assert solver.solve(b) == x
+    assert solver.kernel() == kernel
+    assert solve_affine(a, b) == (x, kernel)
+
+
+def check_inverse_against_reference(a):
+    n = a.nrows
+    columns = [reference_solve(a, [F(i == j) for i in range(n)]) for j in range(n)]
+    if a.ncols != n or any(c is None or c[1].dim for c in columns):
+        with pytest.raises(Unsolvable):
+            a.inverse()
+    else:
+        assert a.inverse() == Matrix.from_columns([c[0] for c in columns], n)
+
+
+def tall_rows(n, base, picks):
+    """One row per pick: zero, a copy of a base row or a combination of two."""
+    rows = []
+    for kind, i, j, c in picks:
+        if kind == 0 or not base:
+            rows.append((F(0),) * n)
+        elif kind == 1:
+            rows.append(base[i % len(base)])
+        else:
+            u, v = base[i % len(base)], base[j % len(base)]
+            rows.append(tuple(x + c * y for x, y in zip(u, v)))
+    return rows
+
+
+picks = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), rationals),
+    max_size=9,
+)
+
+
+# derandomized, so every run tries the same matrices and a failure reproduces
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(sparse_vectors(n), min_size=1, max_size=3), picks
+        )
+    ),
+    st.data(),
+)
+def test_row_basis_solver_matches_rref_of_the_augmented_matrix(case, data):
+    n, base, chosen = case
+    rows = tall_rows(n, base, chosen)
+    a = Matrix(rows, n)
+    # half the draws take b inside the image, so both outcomes occur
+    if data.draw(st.booleans()):
+        b = a.apply(data.draw(sparse_vectors(n)))
+    else:
+        b = data.draw(sparse_vectors(len(rows)))
+    check_against_reference(a, b)
+    if n == len(rows):
+        check_inverse_against_reference(a)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, b",
+    [
+        ([], 0, ()),
+        ([], 3, ()),
+        ([(), (), ()], 0, (0, 0, 0)),
+        ([(), (), ()], 0, (0, 1, 0)),
+        ([(1, 2), (2, 4), (0, 0), (1, 2), (3, 6)], 2, (1, 2, 0, 1, 3)),
+        ([(1, 2), (2, 4), (0, 0), (1, 2), (3, 6)], 2, (1, 2, 0, 1, 4)),
+        ([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (1, 0, 1)], 3, (0, 1, 1, 2, 1)),
+        ([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (1, 0, 1)], 3, (0, 1, 1, 3, 1)),
+    ],
+)
+def test_row_basis_solver_edge_shapes(rows, ncols, b):
+    a = Matrix(rows, ncols)
+    check_against_reference(a, tuple(F(y) for y in b))
+    check_inverse_against_reference(a)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: sparse_rows(n, n)))
+def test_inverse_matches_rref_reference(rows):
+    check_inverse_against_reference(Matrix(rows))

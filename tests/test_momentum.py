@@ -19,7 +19,8 @@ from hamflux.errors import (
     NotPrimitive,
 )
 from hamflux.hamiltonian import analyze
-from hamflux.liealg import AlgebraHom, LieAlgebra
+from hamflux.gallery import matrix_algebra_example
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import Matrix, Subspace, unit_vector
 from hamflux.momentum import (
     ExtensionPresentation,
@@ -388,3 +389,42 @@ def test_baer_product_checks_the_tau_cocycle(monkeypatch):
         baer_product(analysis, zeta, momentum=momentum)
     assert type(err.value) is HamfluxError
     assert str(err.value) == "Baer product is not V_omega with the tau cocycle over g"
+
+
+@pytest.mark.parametrize("name", ["heis", "sl3"])
+def test_invariant_tau_reuses_the_coordinates_of_the_check(name, monkeypatch):
+    if name == "sl3":
+        bundle = matrix_algebra_example(3)
+        module, omega, zeta = bundle.module, bundle.omega, bundle.zeta
+    else:
+        module, omega = heis_pair_instance()
+        zeta = AlgebraHom.identity(module.algebra)
+    analysis = analyze(module, omega)
+    momentum, _ = solve_momentum(analysis, zeta)
+    tau = obstruction_cocycle(momentum)
+    inv = analysis.invariants
+    # tau rewritten on V^h coordinates by solving each value again
+    triv = LieModule.trivial(momentum.g, inv.dim)
+    expected = Cochain.from_values(triv, 2, lambda i, j: inv.coords_of(tau.value(i, j)))
+    solves = []
+    coords_of = Subspace.coords_of
+
+    def counting(self, v):
+        solves.append(v)
+        return coords_of(self, v)
+
+    monkeypatch.setattr(Subspace, "coords_of", counting)
+    assert obstruction_as_invariant_cochain(momentum) == expected
+    assert solves == []
+
+
+def test_tau_values_outside_the_invariants_raise(monkeypatch):
+    module, omega = heis_pair_instance()
+    analysis = analyze(module, omega)
+    momentum, _ = solve_momentum(analysis, AlgebraHom.identity(module.algebra))
+    # tau(x, y) = Z, which leaves the zero subspace
+    monkeypatch.setattr(analysis, "invariants", Subspace.zero(module.dim))
+    with pytest.raises(HamfluxError) as err:
+        obstruction_cocycle(momentum)
+    assert type(err.value) is HamfluxError
+    assert str(err.value) == "obstruction value escaped the invariants"
