@@ -137,6 +137,7 @@ def _fill(m, rows, ncols):
     object.__setattr__(m, "sparse_rows", rows)
     object.__setattr__(m, "nrows", len(rows))
     object.__setattr__(m, "ncols", ncols)
+    object.__setattr__(m, "_scaled_rows", None)
 
 
 class Matrix:
@@ -147,7 +148,7 @@ class Matrix:
     dense input; Matrix._from_sparse takes rows the library built itself.
     """
 
-    __slots__ = ("nrows", "ncols", "sparse_rows")
+    __slots__ = ("nrows", "ncols", "sparse_rows", "_scaled_rows")
 
     def __init__(self, entries, ncols=None):
         rows = [tuple(rat(x) for x in row) for row in entries]
@@ -264,13 +265,29 @@ class Matrix:
         return self.__mul__(other)
 
     def apply(self, vec):
-        """Matrix-vector product, returning a tuple."""
+        """Matrix-vector product, returning a tuple.
+
+        Each row and the vector are scaled to integers, so a row costs
+        integer products and one Fraction, not a Fraction product per term.
+        """
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        nz = {j: x for j, x in enumerate(vec) if x}
-        return tuple(
-            sum([x * nz[j] for j, x in r if j in nz], _ZERO) for r in self.sparse_rows
-        )
+        nz = [(j, x) for j, x in enumerate(vec) if x]
+        if not nz:
+            return zero_vector(self.nrows)
+        den = lcm(*[x.denominator for _, x in nz])
+        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        if self._scaled_rows is None:
+            object.__setattr__(
+                self,
+                "_scaled_rows",
+                tuple(map(_scaled_row, self.sparse_rows)),
+            )
+        out = []
+        for scale, r in self._scaled_rows:
+            t = sum([a * ints[j] for j, a in r if j in ints])
+            out.append(Fraction(t, scale * den) if t else _ZERO)
+        return tuple(out)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -318,6 +335,12 @@ def vstack(a, b):
 
 def _row_scale(row):
     return lcm(*[x.denominator for _, x in row])
+
+
+def _scaled_row(row):
+    # (s, integer pairs) with the sparse row equal to the pairs divided by s
+    scale = _row_scale(row)
+    return scale, tuple((j, x.numerator * (scale // x.denominator)) for j, x in row)
 
 
 def _int_row(row, ncols):

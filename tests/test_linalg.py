@@ -197,6 +197,26 @@ def test_matrix_is_immutable():
         m.entries = ()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), st.lists(rationals, min_size=5, max_size=5))
+def test_apply_matches_row_dot_products(m, coeffs):
+    # integer entries too, and a second call reads the stored scaled rows
+    v = tuple(int(x) if i % 2 else x for i, x in enumerate(coeffs[: m.ncols]))
+    want = tuple(dot(row, v) for row in m.entries)
+    for _ in range(2):
+        got = m.apply(v)
+        assert got == want
+        assert all(type(x) is F for x in got)
+    assert m.apply((0,) * m.ncols) == (F(0),) * m.nrows
+
+
+def test_apply_on_empty_shapes():
+    assert Matrix.zeros(0, 3).apply((F(1), F(2), F(3))) == ()
+    assert Matrix.zeros(2, 0).apply(()) == (F(0), F(0))
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 2).apply((F(1),))
+
+
 # -- elimination kernel -------------------------------------------------------
 
 def random_rows(rng, nrows, ncols, bound=9, density=0.7):
