@@ -24,7 +24,7 @@ from .errors import HamfluxError, ParseError, ValidationError
 from .groupelem import group_cocycle, group_element
 from .hamiltonian import analyze
 from .liealg import AlgebraHom, LieAlgebra, LieModule
-from .linalg import LinearSolver, rank, rat_str, vec_add
+from .linalg import LinearSolver, rat_str, vec_add
 from .momentum import (
     MomentumMap,
     abelian_extension,
@@ -287,7 +287,7 @@ def cmd_momentum(pf, args):
 def _span_hom(algebra, generators):
     """Present listed vectors as a subalgebra hom, keeping their order."""
     k = generators.ncols
-    if rank(generators) != k:
+    if generators.rank() != k:
         raise HamfluxError("subalgebra generators are linearly dependent")
     solver = LinearSolver(generators)
     cols = generators.columns()

@@ -16,7 +16,8 @@ derivative follow the standard conventions (i_xi c)(...) = c(xi, ...) and
 """
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
+from math import lcm
 
 from fractions import Fraction
 
@@ -24,9 +25,11 @@ from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.linalg import (
     Matrix,
     Subspace,
+    _canon,
+    _sparse,
     kernel_basis,
-    lincomb,
     quotient_map,
+    rat,
     vec_add,
     vec_scale,
     vec_sub,
@@ -164,7 +167,7 @@ class Cochain:
         return Cochain(self.module, self.degree, vec_scale(-1, self.coords))
 
     def __rmul__(self, c):
-        return Cochain(self.module, self.degree, vec_scale(Fraction(c), self.coords))
+        return Cochain(self.module, self.degree, vec_scale(rat(c), self.coords))
 
     def _compatible(self, other):
         if self.module is not other.module and self.module != other.module:
@@ -203,47 +206,37 @@ def _assemble_differential(module, p):
     m = module.dim
     out_tuples, _ = tuple_basis(n, p + 1)
     in_tuples, in_index = tuple_basis(n, p)
-    # one {column: value} dict per output row; entries that cancel are dropped
+    action = [a.sparse_rows for a in module.action]
+    struct = module.algebra._sparse
+    # every entry is an integer over the common scale of the action rows and
+    # the structure constants
+    den = lcm(*[s for a in action for s, _ in a], *[s for row in struct for s, _ in row])
+    # one {column: int} dict per output row; entries that cancel are dropped
     # when the rows are sorted into the matrix
     rows = [{} for _ in range(len(out_tuples) * m)]
-
-    _oi = {t: i for i, t in enumerate(out_tuples)}
-
-    def add(row, col, v):
-        row[col] = row[col] + v if col in row else v
-
-    def add_action(out_t, x, in_t, sign):
-        # sign * rho(e_x) applied to the block of in_t; sign is 1 or -1
-        ob = _oi[out_t] * m
-        ib = in_index[in_t] * m
-        for a, action_row in enumerate(module.action[x].sparse_rows):
-            row = rows[ob + a]
-            for b, v in action_row:
-                add(row, ib + b, v if sign > 0 else -v)
-
-    def add_identity(out_t, in_idx, coef):
-        # coef * Id applied to the block of the (possibly unordered) tuple
-        sign, key = sort_with_sign(in_idx)
-        if sign == 0:
-            return
-        ob = _oi[out_t] * m
-        ib = in_index[key] * m
-        c = coef * sign
-        for a in range(m):
-            add(rows[ob + a], ib + a, c)
-
-    struct = module.algebra._sparse
     # (d c)(t) = sum_i (-1)^i t_i . c(t without t_i)
     #          + sum_{i<j} (-1)^(i+j) c([t_i, t_j], t without t_i, t_j)
-    for t in out_tuples:
+    for pos, t in enumerate(out_tuples):
+        block = rows[pos * m : (pos + 1) * m]
         for i, x in enumerate(t):
-            add_action(t, x, t[:i] + t[i + 1 :], (-1) ** i)
+            # (-1)^i rho(e_x) on the block of t without t_i
+            ib = in_index[t[:i] + t[i + 1 :]] * m
+            for row, (s, action_row) in zip(block, action[x]):
+                f = (-1) ** i * (den // s)
+                for b, v in action_row:
+                    row[ib + b] = row.get(ib + b, 0) + f * v
             for j in range(i + 1, p + 1):
                 rest = t[:i] + t[i + 1 : j] + t[j + 1 :]
-                for k, coef in struct[x][t[j]]:
-                    add_identity(t, (k,) + rest, (-1) ** (i + j) * coef)
+                s, pairs = struct[x][t[j]]
+                for k, coef in pairs:
+                    # a multiple of the identity on the block of (k,) + rest
+                    sign, key = sort_with_sign((k,) + rest)
+                    if sign:
+                        c, ib = sign * (-1) ** (i + j) * (den // s) * coef, in_index[key] * m
+                        for a, row in enumerate(block):
+                            row[ib + a] = row.get(ib + a, 0) + c
     return Matrix._from_sparse(
-        (tuple((j, x) for j, x in sorted(row.items()) if x) for row in rows),
+        (_canon(den, [(j, x) for j, x in sorted(row.items()) if x]) for row in rows),
         len(in_tuples) * m,
     )
 
@@ -264,12 +257,7 @@ def contract(xi, c):
     n = c.module.algebra.dim
     if len(xi) != n:
         raise ValueError(f"xi must have {n} entries")
-    m = c.module.dim
-    out_tuples, _ = tuple_basis(n, c.degree - 1)
-    coords = []
-    for s in out_tuples:
-        coords.extend(lincomb(((x, c.value(i, *s)) for i, x in enumerate(xi) if x), m))
-    return Cochain(c.module, c.degree - 1, coords)
+    return Cochain(c.module, c.degree - 1, contraction_matrix(c).apply(xi))
 
 
 def contraction_matrix(c):
@@ -278,14 +266,16 @@ def contraction_matrix(c):
     n, m = c.module.algebra.dim, c.module.dim
     tuples, _ = tuple_basis(n, c.degree)
     _, out_index = tuple_basis(n, c.degree - 1)
+    # the coordinates as integers over one scale
+    den, coords = _sparse(c.coords)
     rows = [[] for _ in range(cochain_dim(c.module, c.degree - 1))]
-    for pos, t in enumerate(tuples):
+    for q, x in coords:
+        pos, a = divmod(q, m)
+        t = tuples[pos]
         for k, i in enumerate(t):
             base = out_index[t[:k] + t[k + 1 :]] * m
-            for a, x in enumerate(c.coords[pos * m : (pos + 1) * m]):
-                if x:
-                    rows[base + a].append((i, -x if k % 2 else x))
-    return Matrix._from_sparse(map(tuple, map(sorted, rows)), n)
+            rows[base + a].append((i, -x if k % 2 else x))
+    return Matrix._from_sparse((_canon(den, sorted(r)) for r in rows), n)
 
 
 def lie_derivative(xi, c):
@@ -298,13 +288,12 @@ def lie_derivative(xi, c):
 
     def term(*t):
         # [xi, e_{t_pos}] = sum_k w e_k replaces slot pos with weight -w
-        slots = (
-            (-w, c.value(*t[:pos], k, *t[pos + 1 :]))
-            for pos in range(len(t))
-            for k, w in enumerate(alg.bracket_with_basis(xi, t[pos]))
-            if w
-        )
-        return lincomb(chain([(1, mod.act(xi, c.value(*t)))], slots), mod.dim)
+        out = mod.act(xi, c.value(*t))
+        for pos in range(len(t)):
+            for k, w in enumerate(alg.bracket_with_basis(xi, t[pos])):
+                if w:
+                    out = vec_sub(out, vec_scale(w, c.value(*t[:pos], k, *t[pos + 1 :])))
+        return out
 
     return Cochain.from_values(mod, c.degree, term)
 

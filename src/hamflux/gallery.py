@@ -27,7 +27,6 @@ from hamflux.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
-    lincomb,
     quotient_map,
     unit_vector,
     vec_scale,
@@ -190,11 +189,9 @@ def matrix_algebra_example(n):
     return InstanceBundle(f"matrix_algebra_{n}", module, omega, zeta, expected)
 
 
-def _assoc_multiply(table, a, b):
-    return lincomb(
-        ((ai * bj, table[i][j]) for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj),
-        len(table),
-    )
+def _assoc_multiply(mult, a, b):
+    # mult is the m x m^2 matrix whose column i*m + j is e_i e_j
+    return mult.apply(tuple(x * y for x in a for y in b))
 
 
 def associative_algebra_example(mult_table):
@@ -210,16 +207,17 @@ def associative_algebra_example(mult_table):
     if any(len(row) != m for row in table):
         raise ValueError("multiplication table must be square")
 
+    mult = Matrix.from_columns([v for row in table for v in row], m)
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                lhs = _assoc_multiply(table, table[i][j], unit_vector(m, k))
-                rhs = _assoc_multiply(table, unit_vector(m, i), table[j][k])
+                lhs = _assoc_multiply(mult, table[i][j], unit_vector(m, k))
+                rhs = _assoc_multiply(mult, unit_vector(m, i), table[j][k])
                 if lhs != rhs:
                     raise NotAssociative(i, j, k)
 
     def commutator(a, b):
-        return vec_sub(_assoc_multiply(table, a, b), _assoc_multiply(table, b, a))
+        return vec_sub(_assoc_multiply(mult, a, b), _assoc_multiply(mult, b, a))
 
     # center of the associative algebra: kernel of all L_b - R_b
     blocks = []
@@ -352,7 +350,7 @@ def _random_module(rng, algebra, m, attempt):
         shift = Matrix.from_columns(
             [unit_vector(m, c + 1) for c in range(m - 1)] + [zero_vector(m)], m
         )
-        image_indices = {k for row in algebra._sparse for v in row for k, _ in v}
+        image_indices = {k for row in algebra._sparse for _, v in row for k, _ in v}
         mats = []
         for i in range(n):
             if i in image_indices:

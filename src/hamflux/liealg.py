@@ -16,10 +16,11 @@ from hamflux.errors import (
 from hamflux.linalg import (
     Matrix,
     Subspace,
+    _concat,
     _dense,
+    _neg,
     _sparse,
     kernel_basis,
-    lincomb,
     sparse_lincomb,
     unit_vector,
     vec_add,
@@ -31,13 +32,14 @@ from hamflux.linalg import (
 class LieAlgebra:
     """Lie algebra given by structure constants on a fixed basis.
 
-    The constants are stored once, as canonical sparse rows: _sparse[i][j]
-    holds the (l, Fraction) pairs of [e_i, e_j] in the form of
-    Matrix.sparse_rows. structure[i][j], the dense coordinate vector of
-    [e_i, e_j], is derived from it on each call. Construction checks
-    antisymmetry on all pairs and the Jacobi identity on strictly increasing
-    triples; with antisymmetry in hand, multilinearity extends the identity
-    from those triples to arbitrary arguments.
+    The constants are stored once, as canonical scaled integer rows:
+    _sparse[i][j] is [e_i, e_j] in the form of Matrix.sparse_rows, and
+    brackets and checks are integer arithmetic on it. structure[i][j], the
+    dense Fraction coordinate vector of [e_i, e_j], is derived from it on
+    each call. Construction checks antisymmetry on all pairs and the Jacobi
+    identity on strictly increasing triples; with antisymmetry in hand,
+    multilinearity extends the identity from those triples to arbitrary
+    arguments.
     """
 
     __slots__ = ("dim", "_sparse")
@@ -64,24 +66,26 @@ class LieAlgebra:
     def _validate(self):
         n, s = self.dim, self._sparse
         for i in range(n):
-            if s[i][i]:
+            if s[i][i][1]:
                 raise AntisymmetryViolation(i, i, self.structure[i][i])
             for j in range(i + 1, n):
-                if s[i][j] != tuple((l, -x) for l, x in s[j][i]):
+                if s[i][j] != _neg(s[j][i]):
                     c = self.structure  # dense values only for the message
                     raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
         # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
+                    (a, ij), (b, jk), (c, ki) = s[i][j], s[j][k], s[k][i]
                     r = sparse_lincomb(
                         chain(
-                            ((x, s[l][k]) for l, x in s[i][j]),
-                            ((x, s[l][i]) for l, x in s[j][k]),
-                            ((x, s[l][j]) for l, x in s[k][i]),
-                        )
+                            ((x * b * c, s[l][k]) for l, x in ij),
+                            ((x * a * c, s[l][i]) for l, x in jk),
+                            ((x * a * b, s[l][j]) for l, x in ki),
+                        ),
+                        a * b * c,
                     )
-                    if r:
+                    if r[1]:
                         raise JacobiViolation(i, j, k, _dense(r, n))
 
     @classmethod
@@ -90,20 +94,21 @@ class LieAlgebra:
         return cls(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
     def _coords(self, x):
-        """Sparse row of the coordinate vector x, checked to have length dim."""
+        """Scaled row of the coordinate vector x, checked to have length dim."""
         if len(x) != self.dim:
             raise ValueError("vector length mismatch")
         return _sparse(x)
 
     def _sparse_bracket(self, xs, ys):
-        """Sparse row of [x, y] for sparse rows xs and ys."""
+        """Scaled row of [x, y] for scaled rows xs and ys."""
         s = self._sparse
-        return sparse_lincomb((a * b, s[i][j]) for i, a in xs for j, b in ys)
+        (sx, px), (sy, py) = xs, ys
+        return sparse_lincomb(((a * b, s[i][j]) for i, a in px for j, b in py), sx * sy)
 
     def bracket_with_basis(self, x, k):
         """[x, e_k] for a coordinate vector x."""
         k = range(self.dim)[k]
-        return _dense(self._sparse_bracket(self._coords(x), ((k, 1),)), self.dim)
+        return _dense(self._sparse_bracket(self._coords(x), (1, ((k, 1),))), self.dim)
 
     def bracket(self, x, y):
         """[x, y] by bilinear expansion of the structure constants."""
@@ -112,7 +117,7 @@ class LieAlgebra:
     def ad_matrix(self, x):
         """Matrix of ad(x): y -> [x, y]."""
         xs = self._coords(vector(x))
-        cols = [self._sparse_bracket(xs, ((j, 1),)) for j in range(self.dim)]
+        cols = [self._sparse_bracket(xs, (1, ((j, 1),))) for j in range(self.dim)]
         return Matrix._from_sparse(cols, self.dim).transpose()
 
     def __eq__(self, other):
@@ -133,15 +138,10 @@ def center(algebra):
 
 
 def _transpose_action(algebra):
-    # matrix sending x to the concatenation of [x, e_j] over j: row j*n + k
-    # holds the pairs (i, c_ij^k), in increasing i
+    # matrix sending x to the concatenation of [x, e_j] over j: the transpose
+    # of the matrix whose row i holds [e_i, e_j] in columns j*n on
     n = algebra.dim
-    rows = [[] for _ in range(n * n)]
-    for i, row in enumerate(algebra._sparse):
-        for j, v in enumerate(row):
-            for k, x in v:
-                rows[j * n + k].append((i, x))
-    return Matrix._from_sparse(map(tuple, rows), n)
+    return Matrix._from_sparse((_concat(r, n) for r in algebra._sparse), n * n).transpose()
 
 
 class LieModule:
@@ -170,10 +170,10 @@ class LieModule:
         raise AttributeError("LieModule is immutable")
 
     def _validate(self):
-        n, c = self.algebra.dim, self.algebra.structure
+        n, s = self.algebra.dim, self.algebra._sparse
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self.action_of(c[i][j])
+                lhs = self._action_of_row(s[i][j])
                 rhs = self.action[i] * self.action[j] - self.action[j] * self.action[i]
                 if lhs != rhs:
                     raise HomViolation(i, j)
@@ -185,15 +185,19 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        terms = [(c, a.sparse_rows) for c, a in zip(x, self.action, strict=True) if c]
-        rows = (sparse_lincomb((c, a[r]) for c, a in terms) for r in range(self.dim))
+        if len(x) != self.algebra.dim:
+            raise ValueError("vector length mismatch")
+        return self._action_of_row(_sparse(x))
+
+    def _action_of_row(self, row):
+        s, pairs = row
+        terms = [(c, self.action[l].sparse_rows) for l, c in pairs]
+        rows = (sparse_lincomb(((c, a[r]) for c, a in terms), s) for r in range(self.dim))
         return Matrix._from_sparse(rows, self.dim)
 
     def act(self, x, v):
         """x . v for coordinate vectors."""
-        return lincomb(
-            ((xi, a.apply(v)) for xi, a in zip(x, self.action, strict=True) if xi), self.dim
-        )
+        return self.action_of(x).apply(v)
 
     def __eq__(self, other):
         return (
@@ -232,7 +236,8 @@ class AlgebraHom:
         s = source._sparse
         for i in range(source.dim):
             for j in range(i + 1, source.dim):
-                lhs = sparse_lincomb((x, cols[l]) for l, x in s[i][j])
+                scale, pairs = s[i][j]
+                lhs = sparse_lincomb(((x, cols[l]) for l, x in pairs), scale)
                 if lhs != target._sparse_bracket(cols[i], cols[j]):
                     raise BracketViolation(i, j)
 

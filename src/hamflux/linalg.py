@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
-A Matrix is stored as sparse rows: row i is a tuple of (column, Fraction)
-pairs with strictly increasing columns and no zero value. That form is
-canonical, so equal matrices have equal rows, and products, applications,
-stacks and transposes touch the nonzeros only. `entries`, `row`, `column`,
-`columns` and `m[i, j]` are dense views derived from the sparse rows on each
-call; no dense copy is kept.
+Every sparse row, of a Matrix or of a LieAlgebra's structure constants, is
+stored once, as a canonical scaled integer row (s, ((col, a), ...)): s >= 1,
+each a a nonzero int, columns strictly increasing, gcd(s, a, ...) = 1, and
+the entry at col is a / s; the zero row is (1, ()). Equal matrices therefore
+have equal rows, and products, sums, applications, stacks and transposes are
+integer arithmetic on the nonzeros. Fractions are made only at the boundary:
+the dense views `entries`, `row`, `column`, `columns` and `m[i, j]`, and the
+vectors `apply`, `LinearSolver.solve` and `Subspace.coords_of` return.
 
-Everything reduces to one elimination kernel, _backend.rref_ints: sparse
-rows are scaled row-wise to dense integer rows, reduced by fraction-free
-Gauss-Jordan, and normalized back to sparse rational rows. A LinearSolver
+Everything reduces to one elimination kernel, _backend.rref_ints, fed the
+stored integers of each row. A reduced row is primitive with a positive
+pivot, so (pivot, its nonzeros) is already a canonical row. A LinearSolver
 reduces only a row basis of its matrix, found by eliminating the transpose.
 All derived objects are canonical so that equal subspaces compare equal and
 repeated runs produce identical output:
@@ -24,32 +26,28 @@ Vectors are plain dense tuples of Fraction.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hamflux._backend import rref_ints
 from hamflux.errors import Unsolvable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ZERO_ROW = (1, ())
 
 
 def rat(x):
     """Coerce an int, string 'p/q' or Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 def rat_str(q):
     """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(rat(q))
 
 
 # -- vectors -------------------------------------------------------------------
@@ -88,47 +86,79 @@ def dot(u, v):
     return sum([a * b for a, b in zip(u, v, strict=True) if a and b], _ZERO)
 
 
-def lincomb(terms, n):
-    """The length-n sum of c * v over (c, v) pairs, skipping zero factors."""
-    acc = [_ZERO] * n
-    for c, v in terms:
-        if c:
-            for i, x in zip(range(n), v, strict=True):
-                if x:
-                    acc[i] += c * x
-    return tuple(acc)
+# -- scaled rows ---------------------------------------------------------------
+
+def _canon(scale, pairs):
+    """Canonical row of a / scale over nonzero (column, a) pairs, in order."""
+    if not pairs:
+        return _ZERO_ROW
+    if scale != 1:
+        g = gcd(scale, *[a for _, a in pairs])
+        if g != 1:
+            return scale // g, tuple((j, a // g) for j, a in pairs)
+    return scale, tuple(pairs)
 
 
-# -- sparse rows ---------------------------------------------------------------
+def _gather(entries):
+    """Canonical row of the entries a / s over (column, a, s) triples."""
+    den = lcm(*[s for _, _, s in entries])
+    return _canon(den, [(j, a * (den // s)) for j, a, s in entries])
+
 
 def _sparse(vec):
-    """Sparse row of a dense vector of Fractions (or ints)."""
-    return tuple((j, x) for j, x in enumerate(vec) if x)
+    """Scaled row of a dense vector of Fractions or ints."""
+    nz = [(j, x) for j, x in enumerate(vec) if x]
+    if not nz:
+        return _ZERO_ROW
+    # every prime power of den divides some denominator exactly, so the
+    # scaled numerators share no factor with den
+    den = lcm(*[x.denominator for _, x in nz])
+    if den == 1:
+        return 1, tuple([(j, x.numerator) for j, x in nz])
+    return den, tuple([(j, x.numerator * (den // x.denominator)) for j, x in nz])
 
 
 def _dense(row, n):
+    s, pairs = row
     out = [_ZERO] * n
-    for j, x in row:
-        out[j] = x
+    for j, a in pairs:
+        out[j] = Fraction(a, s)
     return tuple(out)
 
 
 def _entry(row, j):
-    k = bisect_left(row, (j,))  # (j,) sorts before (j, x)
-    return row[k][1] if k < len(row) and row[k][0] == j else _ZERO
+    s, pairs = row
+    k = bisect_left(pairs, (j,))  # (j,) sorts before (j, a)
+    return Fraction(pairs[k][1], s) if k < len(pairs) and pairs[k][0] == j else _ZERO
 
 
-def sparse_lincomb(terms):
-    """Sparse row of the sum of c * row over (c, sparse row) pairs.
+def _neg(row):
+    return row[0], tuple((j, -a) for j, a in row[1])
 
-    Only stored entries are multiplied; callers drop zero coefficients where
-    they are common. Entries that cancel are left out of the result.
+
+def _concat(rows, width):
+    # `rows` side by side, row k from column k * width on
+    return _gather([(k * width + j, a, s) for k, (s, p) in enumerate(rows) for j, a in p])
+
+
+def sparse_lincomb(terms, scale=1):
+    """Canonical row of (the sum of c * row over (c, row) pairs) / scale.
+
+    The coefficients c and the positive scale are ints. Only stored entries
+    are multiplied; callers drop zero coefficients where they are common.
     """
-    acc = {}
-    for c, row in terms:
-        for j, x in row:
-            acc[j] = acc[j] + c * x if j in acc else c * x
-    return tuple((j, x) for j, x in sorted(acc.items()) if x)
+    acc, den = {}, 1  # the sum so far is acc / den
+    for c, (s, pairs) in terms:
+        if den % s:
+            f = lcm(den, s) // den
+            acc = {j: a * f for j, a in acc.items()}
+            den *= f
+        c *= den // s
+        for j, a in pairs:
+            acc[j] = acc[j] + c * a if j in acc else c * a
+    if not acc:
+        return _ZERO_ROW
+    return _canon(scale * den, [(j, a) for j, a in sorted(acc.items()) if a])
 
 
 # -- matrices ------------------------------------------------------------------
@@ -137,18 +167,18 @@ def _fill(m, rows, ncols):
     object.__setattr__(m, "sparse_rows", rows)
     object.__setattr__(m, "nrows", len(rows))
     object.__setattr__(m, "ncols", ncols)
-    object.__setattr__(m, "_scaled_rows", None)
 
 
 class Matrix:
-    """Immutable rational matrix stored as canonical sparse rows.
+    """Immutable rational matrix stored as canonical scaled rows.
 
-    sparse_rows[i] holds the nonzeros of row i as (column, Fraction) pairs
-    with strictly increasing columns. Matrix(entries) coerces and checks
-    dense input; Matrix._from_sparse takes rows the library built itself.
+    sparse_rows[i] is row i as a scaled integer row (s, pairs), the entry at
+    column j being a / s for (j, a) in pairs. Matrix(entries) coerces and
+    checks dense input; Matrix._from_sparse takes rows the library built
+    itself.
     """
 
-    __slots__ = ("nrows", "ncols", "sparse_rows", "_scaled_rows")
+    __slots__ = ("nrows", "ncols", "sparse_rows")
 
     def __init__(self, entries, ncols=None):
         rows = [tuple(rat(x) for x in row) for row in entries]
@@ -161,11 +191,11 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        _fill(self, tuple(_sparse(r) for r in rows), ncols)
+        _fill(self, tuple(map(_sparse, rows)), ncols)
 
     @classmethod
     def _from_sparse(cls, rows, ncols):
-        """Trusted constructor: `rows` must already be canonical sparse rows."""
+        """Trusted constructor: `rows` must already be canonical scaled rows."""
         m = object.__new__(cls)
         _fill(m, tuple(rows), ncols)
         return m
@@ -175,11 +205,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls._from_sparse(((),) * nrows, ncols)
+        return cls._from_sparse((_ZERO_ROW,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls._from_sparse((((i, _ONE),) for i in range(n)), n)
+        return cls._from_sparse(((1, ((i, 1),)) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns, nrows=None):
@@ -192,7 +222,7 @@ class Matrix:
 
     @property
     def entries(self):
-        """Dense rows, derived from the sparse rows."""
+        """Dense rows of Fractions, derived from the scaled rows."""
         return tuple(_dense(r, self.ncols) for r in self.sparse_rows)
 
     def row(self, i):
@@ -224,26 +254,24 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def __add__(self, other):
-        return self._combine(other, _ONE)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, -_ONE)
+        return self._combine(other, -1)
 
     def _combine(self, other, sign):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
         return Matrix._from_sparse(
             (
-                sparse_lincomb(((_ONE, a), (sign, b)))
+                sparse_lincomb(((1, a), (sign, b)))
                 for a, b in zip(self.sparse_rows, other.sparse_rows)
             ),
             self.ncols,
         )
 
     def __neg__(self):
-        return Matrix._from_sparse(
-            (tuple((j, -x) for j, x in r) for r in self.sparse_rows), self.ncols
-        )
+        return Matrix._from_sparse(map(_neg, self.sparse_rows), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -251,53 +279,51 @@ class Matrix:
                 raise ValueError("shape mismatch in product")
             rows = other.sparse_rows
             return Matrix._from_sparse(
-                (sparse_lincomb((x, rows[k]) for k, x in r) for r in self.sparse_rows),
+                (
+                    sparse_lincomb(((a, rows[k]) for k, a in r), s)
+                    for s, r in self.sparse_rows
+                ),
                 other.ncols,
             )
         c = rat(other)
         if not c:
             return Matrix.zeros(self.nrows, self.ncols)
+        p, q = c.numerator, c.denominator
         return Matrix._from_sparse(
-            (tuple((j, c * x) for j, x in r) for r in self.sparse_rows), self.ncols
+            (_canon(s * q, [(j, a * p) for j, a in r]) for s, r in self.sparse_rows),
+            self.ncols,
         )
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def apply(self, vec):
-        """Matrix-vector product, returning a tuple.
+        """Matrix-vector product, returning a tuple of Fractions.
 
-        Each row and the vector are scaled to integers, so a row costs
-        integer products and one Fraction, not a Fraction product per term.
+        The vector is scaled to integers once, so a row costs integer
+        products and one Fraction, not a Fraction product per term.
         """
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        nz = [(j, x) for j, x in enumerate(vec) if x]
+        den, nz = _sparse(vec)
         if not nz:
             return zero_vector(self.nrows)
-        den = lcm(*[x.denominator for _, x in nz])
-        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
-        if self._scaled_rows is None:
-            object.__setattr__(
-                self,
-                "_scaled_rows",
-                tuple(map(_scaled_row, self.sparse_rows)),
-            )
+        ints = dict(nz)
         out = []
-        for scale, r in self._scaled_rows:
+        for s, r in self.sparse_rows:
             t = sum([a * ints[j] for j, a in r if j in ints])
-            out.append(Fraction(t, scale * den) if t else _ZERO)
+            out.append(Fraction(t, s * den) if t else _ZERO)
         return tuple(out)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
-        for i, r in enumerate(self.sparse_rows):
-            for j, x in r:
-                cols[j].append((i, x))
-        return Matrix._from_sparse(map(tuple, cols), self.nrows)
+        for i, (s, r) in enumerate(self.sparse_rows):
+            for j, a in r:
+                cols[j].append((i, a, s))
+        return Matrix._from_sparse(map(_gather, cols), self.nrows)
 
     def is_zero(self):
-        return not any(self.sparse_rows)
+        return not any(r for _, r in self.sparse_rows)
 
     def rank(self):
         _, pivots = _int_rref(self.sparse_rows, self.ncols)
@@ -315,12 +341,8 @@ class Matrix:
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    shift = a.ncols
     return Matrix._from_sparse(
-        (
-            ra + tuple((j + shift, x) for j, x in rb)
-            for ra, rb in zip(a.sparse_rows, b.sparse_rows)
-        ),
+        (_concat(rows, a.ncols) for rows in zip(a.sparse_rows, b.sparse_rows)),
         a.ncols + b.ncols,
     )
 
@@ -333,72 +355,49 @@ def vstack(a, b):
 
 # -- elimination ---------------------------------------------------------------
 
-def _row_scale(row):
-    return lcm(*[x.denominator for _, x in row])
-
-
-def _scaled_row(row):
-    # (s, integer pairs) with the sparse row equal to the pairs divided by s
-    scale = _row_scale(row)
-    return scale, tuple((j, x.numerator * (scale // x.denominator)) for j, x in row)
-
-
 def _int_row(row, ncols):
-    # clear denominators; preserves the row's line through the origin
-    scale = _row_scale(row)
+    # the row's integers, dense; dropping the scale keeps its line
     out = [0] * ncols
-    for j, x in row:
-        out[j] = x.numerator * (scale // x.denominator)
+    for j, a in row[1]:
+        out[j] = a
     return out
 
 
 def _int_rref(rows, ncols):
-    """Sparse reduced integer rows and pivot columns of sparse rational rows.
+    """Canonical rows of the rational RREF of scaled rows, and pivot columns.
 
-    Every elimination enters rref_ints here or in LinearSolver. Each reduced
-    row starts at its pivot.
+    Every elimination enters rref_ints here or in LinearSolver.
     """
     reduced, pivots = rref_ints([_int_row(r, ncols) for r in rows], ncols)
-    return [_sparse(r) for r in reduced], pivots
-
-
-def _fraction_rows(int_rows):
-    # divide each reduced row by its pivot, its first entry
-    out = []
-    for row in int_rows:
-        inv = Fraction(1, row[0][1])
-        out.append(tuple((j, x * inv) for j, x in row))
-    return tuple(out)
+    return [
+        (r[pc], tuple((j, a) for j, a in enumerate(r[pc:], pc) if a))
+        for r, pc in zip(reduced, pivots)
+    ], pivots
 
 
 def rref(m):
     """Rational reduced row echelon form, same shape as the input."""
-    int_rows, _ = _int_rref(m.sparse_rows, m.ncols)
-    rows = _fraction_rows(int_rows)
-    return Matrix._from_sparse(rows + ((),) * (m.nrows - len(rows)), m.ncols)
+    rows, _ = _int_rref(m.sparse_rows, m.ncols)
+    return Matrix._from_sparse(rows + [_ZERO_ROW] * (m.nrows - len(rows)), m.ncols)
 
 
-def rank(m):
-    return m.rank()
-
-
-def _kernel_vectors(int_rows, pivots, ncols):
-    # one sparse vector per free column f: 1 at f, and -row[f] / row[pc] at
-    # the pivot column pc of each reduced row; in a reduced row every entry
+def _kernel_vectors(rows, pivots, ncols):
+    # one vector per free column f: 1 at f, and -row[f] / row[pc] at the
+    # pivot column pc of each reduced row; in a reduced row every entry
     # after the pivot sits in a free column
     pivot_set = set(pivots)
-    vecs = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
-    for row, pc in zip(int_rows, pivots):
-        pv = row[0][1]
-        for f, x in row[1:]:
-            vecs[f][pc] = Fraction(-x, pv)
-    return [tuple(sorted(v.items())) for v in vecs.values()]
+    vecs = {f: [(f, 1, 1)] for f in range(ncols) if f not in pivot_set}
+    for (_, pairs), pc in zip(rows, pivots):
+        pv = pairs[0][1]
+        for f, a in pairs[1:]:
+            vecs[f].append((pc, -a, pv))
+    return [_gather(sorted(v)) for v in vecs.values()]
 
 
 def kernel_basis(m):
     """Canonical basis of {x : m x = 0} as a Subspace of the column space."""
-    int_rows, pivots = _int_rref(m.sparse_rows, m.ncols)
-    return Subspace._span(m.ncols, _kernel_vectors(int_rows, pivots, m.ncols))
+    rows, pivots = _int_rref(m.sparse_rows, m.ncols)
+    return Subspace._span(m.ncols, _kernel_vectors(rows, pivots, m.ncols))
 
 
 def solve_affine(m, b):
@@ -426,22 +425,21 @@ class LinearSolver:
         self.matrix = m
         n = m.ncols
         _, basis = _int_rref(m.transpose().sparse_rows, m.nrows)
+        width = n + len(basis)
         rows = []
         for i, k in enumerate(basis):
             row = m.sparse_rows[k]
-            aug = _int_row(row, n + len(basis))
-            # the row scaling multiplies the identity part too
-            aug[n + i] = _row_scale(row)
+            aug = _int_row(row, width)
+            aug[n + i] = row[0]  # [s * row | s * e_i] for the row's scale s
             rows.append(aug)
-        reduced, self._a_pivots = rref_ints(rows, n + len(basis))
-        self._a_rows = []  # sparse A part of each reduced row
-        transform = []  # its T part divided by the pivot value, on rows of A
+        reduced, self._a_pivots = rref_ints(rows, width)
+        # each reduced row divided by its pivot value: the A part is a row of
+        # RREF(A), the T part a row of the transform on rows of A
+        self._a_rows, transform = [], []
         for row, pc in zip(reduced, self._a_pivots):
             pv = row[pc]
-            self._a_rows.append(_sparse(row[:n]))
-            transform.append(
-                tuple((basis[j], Fraction(x, pv)) for j, x in enumerate(row[n:]) if x)
-            )
+            self._a_rows.append(_canon(pv, [(j, a) for j, a in enumerate(row[pc:n], pc) if a]))
+            transform.append(_canon(pv, [(basis[j], a) for j, a in enumerate(row[n:]) if a]))
         self._transform = Matrix._from_sparse(transform, m.nrows)
         self._kernel = None
 
@@ -496,12 +494,11 @@ class Subspace:
 
     @classmethod
     def _span(cls, ambient, rows):
-        """Span of sparse rows of length `ambient`."""
+        """Span of scaled rows of length `ambient`."""
         if not rows:
             return cls.zero(ambient)
-        int_rows, _ = _int_rref(rows, ambient)
-        rref_rows = Matrix._from_sparse(_fraction_rows(int_rows), ambient)
-        return cls(ambient, rref_rows.transpose())
+        rows, _ = _int_rref(rows, ambient)
+        return cls(ambient, Matrix._from_sparse(rows, ambient).transpose())
 
     @classmethod
     def from_columns(cls, m):
@@ -519,13 +516,10 @@ class Subspace:
     def dim(self):
         return self.basis.ncols
 
-    def basis_vectors(self):
-        return self.basis.columns()
-
     def _pivot_rows(self):
         if self._pivots is None:
             # each basis column starts at its pivot
-            piv = tuple(c[0][0] for c in self.basis.transpose().sparse_rows)
+            piv = tuple(r[0][0] for _, r in self.basis.transpose().sparse_rows)
             object.__setattr__(self, "_pivots", piv)
         return self._pivots
 
@@ -547,9 +541,6 @@ class Subspace:
             return True
         except Unsolvable:
             return False
-
-    def contains_subspace(self, other):
-        return all(self.contains(c) for c in other.basis.columns())
 
     def sum_with(self, other):
         if self.ambient != other.ambient:

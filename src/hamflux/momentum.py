@@ -225,7 +225,7 @@ class ExtensionPresentation:
         except BracketViolation:
             raise HamfluxError("projection is not an algebra map") from None
         if self.kind == "central" and any(
-            t._sparse[i][z] for i in range(t.dim) for z in range(k)
+            t._sparse[i][z][1] for i in range(t.dim) for z in range(k)
         ):
             raise HamfluxError("kernel is not central")
 

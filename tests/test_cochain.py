@@ -189,8 +189,11 @@ def test_contraction_matrix_columns_are_contractions(dims, seed):
     for c in arbitrary + [bundle.omega, differential(arbitrary[1])]:
         built = contraction_matrix(c)
         assert built.ncols == n and built.nrows == cochain_dim(mod, c.degree - 1)
+        rests, _ = tuple_basis(n, c.degree - 1)
         for i in range(n):
-            assert built.column(i) == contract(unit_vector(n, i), c).coords
+            # (i_{e_i} c)(s) = c(e_i, s), read off the values
+            expected = tuple(x for s in rests for x in c.value(i, *s))
+            assert built.column(i) == contract(unit_vector(n, i), c).coords == expected
 
 
 def test_double_contraction_antisymmetry():
@@ -301,3 +304,16 @@ def test_tuple_basis_layout():
     tuples, index = tuple_basis(3, 2)
     assert tuples == ((0, 1), (0, 2), (1, 2))
     assert index[(0, 2)] == 1
+
+
+def test_scalar_multiple_is_exact_and_rejects_floats():
+    mod, omega = heis_pair_instance()
+    c = Cochain.from_dict(mod, 2, {(0, 1): (F(1, 2), 0, -3)})
+    expected = (F(3, 4), F(0), F(-9, 2))
+    for scalar in (F(3, 2), "3/2", 3):
+        got = (scalar * c).coords
+        assert all(type(x) is F for x in got)
+        assert got == tuple(F(scalar) * x for x in c.coords)
+    assert (F(3, 2) * c).coords == ("3/2" * c).coords == expected
+    with pytest.raises(TypeError):
+        0.1 * omega

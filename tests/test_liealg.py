@@ -22,7 +22,7 @@ from hamflux.liealg import (
     subalgebra,
 )
 from hamflux.linalg import Matrix, Subspace, unit_vector, vector
-from util import heis3, sl2, solvable2
+from util import assert_scaled_row, heis3, sl2, solvable2
 
 
 def test_heis3_validates_and_brackets():
@@ -301,11 +301,15 @@ def test_sparse_table_is_canonical(case):
     n = g.dim
     for i in range(n):
         for j in range(n):
-            row = g._sparse[i][j]
-            cols = [l for l, _ in row]
-            assert cols == sorted(set(cols))
-            assert all(type(x) is F and x != 0 for _, x in row)
-            assert tuple(row) == tuple((l, x) for l, x in enumerate(g.structure[i][j]) if x)
+            s, pairs = row = g._sparse[i][j]
+            assert_scaled_row(row, n)
+            dense = g.structure[i][j]
+            assert tuple(pairs) == tuple((l, x * s) for l, x in enumerate(dense) if x)
+    # every constructor path equals, and hashes equal to, a rebuild from the
+    # dense view
+    for h in (g, LieAlgebra.abelian(n), subalgebra(g, Subspace.full(n))[0]):
+        rebuilt = LieAlgebra(h.structure)
+        assert h == rebuilt and hash(h) == hash(rebuilt)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@
 import copy
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +21,15 @@ from hamflux.linalg import (
     hstack,
     intersect,
     kernel_basis,
-    lincomb,
     quotient_map,
     rat,
     rat_str,
     rref,
     solve_affine,
+    sparse_lincomb,
     vstack,
 )
+from util import assert_scaled_row
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -323,9 +324,14 @@ def test_dot_and_lincomb_match_dense_reference(case):
     n, u, v, terms = case
     got = dot(u, v)
     assert isinstance(got, F) and got == dense_dot(u, v)
-    combo = lincomb(terms, n)
-    assert all(isinstance(x, F) for x in combo)
-    assert combo == tuple(
+    # sparse_lincomb takes int coefficients over one scale, and scaled rows
+    scale = lcm(*[c.denominator for c, _ in terms])
+    combo = sparse_lincomb(
+        ((c.numerator * (scale // c.denominator), Matrix([w]).sparse_rows[0]) for c, w in terms),
+        scale,
+    )
+    assert_scaled_row(combo, n)
+    assert Matrix._from_sparse([combo], n).row(0) == tuple(
         sum((c * w[i] for c, w in terms), F(0)) for i in range(n)
     )
 
@@ -400,13 +406,10 @@ def test_linear_solver_raises_exactly_outside_the_image(case):
 # -- the canonical sparse form -------------------------------------------------
 
 def assert_canonical(m):
-    """Strictly increasing columns and no stored zero, equal to a rebuild."""
+    """Every row a canonical scaled integer row, and equal to a rebuild."""
     assert len(m.sparse_rows) == m.nrows
     for row in m.sparse_rows:
-        cols = [j for j, _ in row]
-        assert all(i < j for i, j in zip(cols, cols[1:]))
-        assert all(0 <= j < m.ncols for j in cols)
-        assert all(isinstance(x, F) and x != 0 for _, x in row)
+        assert_scaled_row(row, m.ncols)
     rebuilt = Matrix(m.entries, m.ncols)
     assert m == rebuilt and hash(m) == hash(rebuilt)
 
@@ -488,6 +491,37 @@ def test_views_stacks_and_scaling_match_dense_reference(case):
     pairs = [tuple(zip(ra, rb)) for ra, rb in zip(a, b)]
     assert (A + B).entries == tuple(tuple(x + y for x, y in p) for p in pairs)
     assert (A - B).entries == tuple(tuple(x - y for x, y in p) for p in pairs)
+
+
+# -- the public boundary: Fractions out, integral values included ------------
+
+def test_dense_views_and_returned_vectors_are_fractions():
+    from hamflux.liealg import LieAlgebra
+
+    def all_fractions(xs):
+        return all(type(x) is F for x in xs)
+
+    # integral entries, so every stored scale is 1
+    m = Matrix([[2, 0, -1], [0, 3, 0], [4, 0, -2]])
+    assert all(all_fractions(r) for r in m.entries)
+    assert all(all_fractions(m.row(i)) for i in range(3))
+    assert all(all_fractions(m.column(j)) for j in range(3))
+    assert all(all_fractions(c) for c in m.columns())
+    assert all_fractions(m[i, j] for i in range(3) for j in range(3))
+    assert all_fractions(m.apply((1, 2, 3))) and all_fractions(m.apply((0, 0, 0)))
+    assert all_fractions(LinearSolver(m).solve(m.apply((1, 1, 1))))
+    sub = Subspace.from_columns(m)
+    assert all_fractions(sub.coords_of(m.column(0)))
+    # sl2 on (e, f, h), integer constants
+    table = [[(0, 0, 0)] * 3 for _ in range(3)]
+    table[0][1], table[1][0] = (0, 0, 1), (0, 0, -1)
+    table[2][0], table[0][2] = (2, 0, 0), (-2, 0, 0)
+    table[2][1], table[1][2] = (0, -2, 0), (0, 2, 0)
+    g = LieAlgebra(table)
+    assert all(all_fractions(v) for row in g.structure for v in row)
+    assert all_fractions(g.bracket((1, 0, 0), (0, 1, 0)))
+    assert all_fractions(g.bracket_with_basis((0, 0, 1), 0))
+    assert all(all_fractions(r) for r in g.ad_matrix((1, 1, 0)).entries)
 
 
 # -- the row-basis solver against rref([A | b]) ----------------------------------

@@ -1,8 +1,22 @@
 """Shared instance constructors for the test suite."""
 
 from fractions import Fraction as F
+from math import gcd
 
 from hamflux.liealg import LieAlgebra
+
+
+def assert_scaled_row(row, ncols):
+    """The canonical scaled row invariant: (s, ((col, a), ...)) with s >= 1,
+    nonzero int entries in strictly increasing columns below ncols, and
+    gcd(s, a, ...) = 1."""
+    s, pairs = row
+    assert type(s) is int and s >= 1
+    cols = [j for j, _ in pairs]
+    assert all(i < j for i, j in zip(cols, cols[1:]))
+    assert all(0 <= j < ncols for j in cols)
+    assert all(type(a) is int and a != 0 for _, a in pairs)
+    assert gcd(s, *[a for _, a in pairs]) == 1
 
 
 def z3(*entries):
