@@ -4,7 +4,9 @@ eagerly: a constructed object is guaranteed to satisfy its defining identities
 preservation for maps). Scalars are exact rationals throughout.
 """
 
+from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from hamflux.errors import (
     AntisymmetryViolation,
@@ -16,6 +18,7 @@ from hamflux.errors import (
 from hamflux.linalg import (
     Matrix,
     Subspace,
+    _ZERO,
     _concat,
     _dense,
     _neg,
@@ -196,8 +199,18 @@ class LieModule:
         return Matrix._from_sparse(rows, self.dim)
 
     def act(self, x, v):
-        """x . v for coordinate vectors."""
-        return self.action_of(x).apply(v)
+        """x . v for coordinate vectors, as integer sums over one scale."""
+        if len(x) != self.algebra.dim or len(v) != self.dim:
+            raise ValueError("vector length mismatch")
+        (sx, xs), (sv, vs) = _sparse(x), _sparse(v)
+        terms = [(c, self.action[l].sparse_rows) for l, c in xs]
+        den, ints, acc = lcm(*[s for _, a in terms for s, _ in a]), dict(vs), [0] * self.dim
+        for c, rows in terms:
+            for r, (s, p) in enumerate(rows):
+                if p:
+                    acc[r] += c * (den // s) * sum([a * ints[j] for j, a in p if j in ints])
+        den *= sx * sv
+        return tuple(Fraction(t, den) if t else _ZERO for t in acc)
 
     def __eq__(self, other):
         return (

@@ -550,9 +550,6 @@ class Subspace:
             self.basis.transpose().sparse_rows + other.basis.transpose().sparse_rows,
         )
 
-    def intersect(self, other):
-        return intersect(self, other)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
