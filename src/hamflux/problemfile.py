@@ -37,9 +37,9 @@ SCHEMA = "hamflux/1"
 # of an n-dim algebra on an m-dim module, is at most MAX_DIFFERENTIAL_ROWS:
 # 8960 x 1920 at n = m = 16. That bounds size, not time. At those limits, on
 # an abelian algebra with a trivial module, `analyze` takes 0.14 s but
-# `momentum` takes about 5 s and 150 MB: equivariantize computes H^2 of the
-# trivial module V^h, and the elimination kernel scans that differential, all
-# zeros there, as dense integer rows.
+# `momentum` takes 3 to 5 s and 150 MB on a 2-vCPU host: equivariantize
+# computes H^2 of the trivial module V^h, and the elimination kernel scans
+# that differential, all zeros there, as dense integer rows.
 MAX_DIM = 16
 MAX_DIFFERENTIAL_ROWS = comb(MAX_DIM, 3) * MAX_DIM
 
