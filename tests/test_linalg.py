@@ -29,7 +29,7 @@ from hamflux.linalg import (
     sparse_lincomb,
     vstack,
 )
-from util import assert_scaled_row
+from util import assert_scaled_row, sl2
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -496,8 +496,6 @@ def test_views_stacks_and_scaling_match_dense_reference(case):
 # -- the public boundary: Fractions out, integral values included ------------
 
 def test_dense_views_and_returned_vectors_are_fractions():
-    from hamflux.liealg import LieAlgebra
-
     def all_fractions(xs):
         return all(type(x) is F for x in xs)
 
@@ -512,12 +510,7 @@ def test_dense_views_and_returned_vectors_are_fractions():
     assert all_fractions(LinearSolver(m).solve(m.apply((1, 1, 1))))
     sub = Subspace.from_columns(m)
     assert all_fractions(sub.coords_of(m.column(0)))
-    # sl2 on (e, f, h), integer constants
-    table = [[(0, 0, 0)] * 3 for _ in range(3)]
-    table[0][1], table[1][0] = (0, 0, 1), (0, 0, -1)
-    table[2][0], table[0][2] = (2, 0, 0), (-2, 0, 0)
-    table[2][1], table[1][2] = (0, -2, 0), (0, 2, 0)
-    g = LieAlgebra(table)
+    g = sl2()  # integer structure constants
     assert all(all_fractions(v) for row in g.structure for v in row)
     assert all_fractions(g.bracket((1, 0, 0), (0, 1, 0)))
     assert all_fractions(g.bracket_with_basis((0, 0, 1), 0))
