@@ -62,6 +62,7 @@ from .liealg import (
     LieModule,
     adjoint_module,
     center,
+    spanned_subalgebra,
     subalgebra,
 )
 from .linalg import LinearSolver, Matrix, Subspace, kernel_basis, quotient_map, rref

@@ -23,8 +23,8 @@ from .cochain import Cochain
 from .errors import HamfluxError, ParseError, ValidationError
 from .groupelem import group_cocycle, group_element
 from .hamiltonian import analyze
-from .liealg import AlgebraHom, LieAlgebra, LieModule
-from .linalg import LinearSolver, rat_str, vec_add
+from .liealg import LieModule, spanned_subalgebra
+from .linalg import rat_str, vec_add
 from .momentum import (
     MomentumMap,
     abelian_extension,
@@ -284,26 +284,6 @@ def cmd_momentum(pf, args):
     return "\n".join(lines) + "\n"
 
 
-def _span_hom(algebra, generators):
-    """Present listed vectors as a subalgebra hom, keeping their order."""
-    k = generators.ncols
-    if generators.rank() != k:
-        raise HamfluxError("subalgebra generators are linearly dependent")
-    solver = LinearSolver(generators)
-    cols = generators.columns()
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            try:
-                table[i][j] = solver.solve(algebra.bracket(cols[i], cols[j]))
-            except HamfluxError:
-                raise HamfluxError(
-                    f"generators are not bracket-closed at pair ({i}, {j})"
-                ) from None
-    g = LieAlgebra(table)
-    return AlgebraHom(g, algebra, generators)
-
-
 def _report_data(report):
     witnesses = [
         {
@@ -328,15 +308,15 @@ def cmd_noether(pf, args):
     data = {}
     flow = pf.noether.invariant_flow
     if flow is not None:
-        hom = _span_hom(pf.algebra, flow.generators)
+        _, hom = spanned_subalgebra(pf.algebra, flow.generators)
         momentum = _momentum_map(analysis, hom, None)
         data["invariant_flow"] = _report_data(
             invariant_flow_check(analysis, momentum, flow.v, flow.xi)
         )
     com = pf.noether.commuting
     if com is not None:
-        hom1 = _span_hom(pf.algebra, com.g1)
-        hom2 = _span_hom(pf.algebra, com.g2)
+        _, hom1 = spanned_subalgebra(pf.algebra, com.g1)
+        _, hom2 = spanned_subalgebra(pf.algebra, com.g2)
         momentum1 = _momentum_map(analysis, hom1, com.j1)
         momentum2 = _momentum_map(analysis, hom2, com.j2)
         data["commuting"] = _report_data(

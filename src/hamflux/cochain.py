@@ -141,15 +141,6 @@ class Cochain:
         chunk = self.coords[base : base + self.module.dim]
         return chunk if sign == 1 else tuple(-x for x in chunk)
 
-    def evaluate(self, *vectors):
-        """Multilinear evaluation on coordinate vectors."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of arguments")
-        c = self
-        for v in vectors:
-            c = contract(v, c)
-        return c.coords
-
     def is_zero(self):
         return all(x == 0 for x in self.coords)
 

@@ -4,12 +4,15 @@ Three structured families: reading a central extension backwards into an
 action-with-cocycle instance, matrix algebras acting on themselves, and
 associative algebras acting by inner derivations on their underlying space.
 Plus a seeded generator of small nilpotent instances for property suites.
+
+Each derived algebra has one builder: subalgebras come from
+liealg.spanned_subalgebra, and quotients by a central ideal, with their
+action on the ambient algebra, from _central_quotient.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from hamflux.cochain import Cochain, cochain_dim, differential, differential_matrix
 from hamflux.errors import (
@@ -21,18 +24,24 @@ from hamflux.errors import (
     NotCentral,
 )
 from hamflux.hamiltonian import analyze
-from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule, center, subalgebra
+from hamflux.liealg import (
+    AlgebraHom,
+    LieAlgebra,
+    LieModule,
+    center,
+    spanned_subalgebra,
+    subalgebra,
+)
 from hamflux.linalg import (
     LinearSolver,
     Matrix,
-    Subspace,
     kernel_basis,
     quotient_map,
     unit_vector,
+    vec_neg,
     vec_scale,
     vec_sub,
     vector,
-    vstack,
     zero_vector,
 )
 
@@ -52,6 +61,28 @@ class InstanceBundle:
             raise ValueError("zeta must land in the bundled algebra")
 
 
+def _central_quotient(hat, z):
+    """hat / z for a central subspace z of hat, acting on hat through the
+    factored adjoint action, and the canonical section S of the quotient.
+
+    Returns (module, S), S as the list of the S e_i: the bracket of
+    h = hat / z is q [S x, S y] with q the canonical quotient map, and x in h
+    acts on hat as ad(S x).
+    """
+    q = quotient_map(hat.dim, z)
+    solver = LinearSolver(q)
+    S = [solver.solve(unit_vector(q.nrows, i)) for i in range(q.nrows)]
+    h = LieAlgebra([[q.apply(hat.bracket(x, y)) for y in S] for x in S])
+    return LieModule(h, hat.dim, [hat.ad_matrix(x) for x in S]), S
+
+
+def _commutator_algebra(table):
+    """Lie algebra of an associative multiplication table t on the same
+    basis: [e_a, e_b] = t[a][b] - t[b][a]."""
+    m = len(table)
+    return LieAlgebra([[vec_sub(table[a][b], table[b][a]) for b in range(m)] for a in range(m)])
+
+
 def from_central_extension(hat_h, z):
     """Turn a central subspace z of hat_h into an action instance.
 
@@ -68,27 +99,13 @@ def from_central_extension(hat_h, z):
         for i in range(n):
             if any(x != 0 for x in hat_h.bracket(unit_vector(n, i), col)):
                 raise NotCentral(f"z basis vector {j} does not commute with e_{i}")
-    q = quotient_map(n, z)
-    h_dim = q.nrows
-    solver = LinearSolver(q)
-    section_cols = [solver.solve(unit_vector(h_dim, i)) for i in range(h_dim)]
-    S = Matrix.from_columns(section_cols, n)
-    table = [
-        [q.apply(hat_h.bracket(S.column(i), S.column(j))) for j in range(h_dim)]
-        for i in range(h_dim)
-    ]
-    h = LieAlgebra(table)
-    action = [hat_h.ad_matrix(S.column(i)) for i in range(h_dim)]
-    module = LieModule(h, n, action)
-    omega = Cochain.from_values(
-        module,
-        2,
-        lambda i, j: tuple(-x for x in hat_h.bracket(S.column(i), S.column(j))),
-    )
+    module, S = _central_quotient(hat_h, z)
+    h = module.algebra
+    omega = Cochain.from_values(module, 2, lambda i, j: vec_neg(hat_h.bracket(S[i], S[j])))
     zhat = center(hat_h).dim
     expected = {
-        "symplectic": h_dim,
-        "hamiltonian": h_dim,
+        "symplectic": h.dim,
+        "hamiltonian": h.dim,
         "radical": zhat - z.dim,
         "invariants": zhat,
         "admissible": n,
@@ -100,81 +117,33 @@ def from_central_extension(hat_h, z):
     return InstanceBundle("central_extension", module, omega, zeta, expected)
 
 
-def _matrix_unit_index(n, i, j):
-    return i * n + j
-
-
-def _matrix_multiply_coords(n, a, b):
-    """Coordinates of the product of two n x n matrices given row-major coords."""
-    def square(coords):
-        return Matrix([coords[i * n : (i + 1) * n] for i in range(n)], n)
-
-    return sum((square(a) * square(b)).entries, ())
-
-
-def _commutator_coords(n, a, b):
-    return vec_sub(
-        _matrix_multiply_coords(n, a, b), _matrix_multiply_coords(n, b, a)
-    )
-
-
 def _sl_basis(n):
-    """Off-diagonal units row-major, then H_k = E_kk - E_(k+1)(k+1)."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [0] * (n * n)
-                v[_matrix_unit_index(n, i, j)] = 1
-                basis.append(vector(v))
+    """Off-diagonal units E_ij row-major, then H_k = E_kk - E_(k+1)(k+1), as
+    row-major coordinates of n x n matrices."""
+    nn = n * n
+    basis = [unit_vector(nn, i * n + j) for i in range(n) for j in range(n) if i != j]
     for k in range(n - 1):
-        v = [0] * (n * n)
-        v[_matrix_unit_index(n, k, k)] = 1
-        v[_matrix_unit_index(n, k + 1, k + 1)] = -1
-        basis.append(vector(v))
+        basis.append(vec_sub(unit_vector(nn, k * (n + 1)), unit_vector(nn, (k + 1) * (n + 1))))
     return basis
-
-
-def _sl_coords(n, mat_coords):
-    """Coordinates of a traceless matrix in the _sl_basis ordering."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out.append(mat_coords[_matrix_unit_index(n, i, j)])
-    prefix = Fraction(0)
-    for k in range(n - 1):
-        prefix += mat_coords[_matrix_unit_index(n, k, k)]
-        out.append(prefix)
-    return tuple(out)
 
 
 def matrix_algebra_example(n):
     """Traceless n x n matrices acting on all n x n matrices by commutator,
     with omega(x, y) = -[x, y]; then the poisson bracket is the commutator
-    and the inclusion is an equivariant momentum map."""
+    and the inclusion is an equivariant momentum map.
+
+    gl_n is the commutator algebra of full_matrix_table(n), and sl_n its
+    subalgebra on _sl_basis(n)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    gl = _commutator_algebra(full_matrix_table(n))
     basis = _sl_basis(n)
-    h_dim = n * n - 1
-    table = [
-        [_sl_coords(n, _commutator_coords(n, basis[i], basis[j])) for j in range(h_dim)]
-        for i in range(h_dim)
-    ]
-    h = LieAlgebra(table)
-    action = []
-    for i in range(h_dim):
-        cols = []
-        for a in range(n * n):
-            cols.append(_commutator_coords(n, basis[i], unit_vector(n * n, a)))
-        action.append(Matrix.from_columns(cols, n * n))
-    module = LieModule(h, n * n, action)
+    h, inclusion = spanned_subalgebra(gl, Matrix.from_columns(basis, n * n))
+    h_dim = h.dim
+    module = LieModule(h, n * n, [gl.ad_matrix(b) for b in basis])
     omega = Cochain.from_values(
-        module,
-        2,
-        lambda i, j: tuple(-x for x in _commutator_coords(n, basis[i], basis[j])),
+        module, 2, lambda i, j: vec_neg(gl.bracket(basis[i], basis[j]))
     )
-    inclusion = Matrix.from_columns(basis, n * n)
     expected = {
         "symplectic": h_dim,
         "hamiltonian": h_dim,
@@ -183,7 +152,7 @@ def matrix_algebra_example(n):
         "admissible": n * n,
         "differential_image": h_dim,
         "pairs": n * n,
-        "momentum_inclusion": inclusion,
+        "momentum_inclusion": inclusion.matrix,
     }
     zeta = AlgebraHom.identity(h)
     return InstanceBundle(f"matrix_algebra_{n}", module, omega, zeta, expected)
@@ -198,9 +167,10 @@ def associative_algebra_example(mult_table):
     """A/z(A) acting on A by inner derivations with omega([a],[b]) = [a,b].
 
     mult_table[i][j] gives the coordinates of e_i e_j. Associativity is
-    validated exactly. Also verifies the section-shifted cocycle
-    omega - d(sigma) takes values in the center, where sigma is the
-    canonical linear section of the quotient.
+    validated exactly. z(A) is the center of the commutator algebra of A,
+    which for an associative algebra is its center. Also verifies the
+    section-shifted cocycle omega - d(sigma) takes values in the center,
+    where sigma is the canonical linear section of the quotient.
     """
     m = len(mult_table)
     table = [[vector(v) for v in row] for row in mult_table]
@@ -216,43 +186,22 @@ def associative_algebra_example(mult_table):
                 if lhs != rhs:
                     raise NotAssociative(i, j, k)
 
-    def commutator(a, b):
-        return vec_sub(_assoc_multiply(mult, a, b), _assoc_multiply(mult, b, a))
-
-    # center of the associative algebra: kernel of all L_b - R_b
-    blocks = []
-    for b in range(m):
-        cols = [commutator(unit_vector(m, b), unit_vector(m, j)) for j in range(m)]
-        blocks.append(Matrix.from_columns(cols, m))
-    z = kernel_basis(reduce(vstack, blocks)) if blocks else Subspace.full(m)
-    q = quotient_map(m, z)
-    h_dim = q.nrows
-    solver = LinearSolver(q)
-    S = Matrix.from_columns([solver.solve(unit_vector(h_dim, i)) for i in range(h_dim)], m)
-    h_table = [
-        [q.apply(commutator(S.column(i), S.column(j))) for j in range(h_dim)]
-        for i in range(h_dim)
-    ]
-    h = LieAlgebra(h_table)
-    action = []
-    for i in range(h_dim):
-        cols = [commutator(S.column(i), unit_vector(m, a)) for a in range(m)]
-        action.append(Matrix.from_columns(cols, m))
-    module = LieModule(h, m, action)
-    omega = Cochain.from_values(
-        module, 2, lambda i, j: commutator(S.column(i), S.column(j))
-    )
+    lie = _commutator_algebra(table)
+    z = center(lie)
+    module, S = _central_quotient(lie, z)
+    h = module.algebra
+    omega = Cochain.from_values(module, 2, lambda i, j: lie.bracket(S[i], S[j]))
     # shifted cocycle: values must drop into the center
-    sigma = Cochain(module, 1, tuple(x for i in range(h_dim) for x in S.column(i)))
+    sigma = Cochain(module, 1, tuple(x for c in S for x in c))
     shifted = omega - differential(sigma)
-    for i in range(h_dim):
-        for j in range(i + 1, h_dim):
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
             if not z.contains(shifted.value(i, j)):
                 raise HamfluxError("shifted cocycle escaped the center")
     zeta = AlgebraHom.identity(h)
     expected = {
         "center_dim": z.dim,
-        "h_dim": h_dim,
+        "h_dim": h.dim,
         "shifted_cocycle": shifted,
         "center": z,
     }

@@ -151,7 +151,10 @@ class HamiltonianAnalysis:
     # -- evaluations ---------------------------------------------------------
 
     def omega_value(self, x, y):
-        return self.omega.evaluate(vector(x), vector(y))
+        """omega(x, y): i_x omega read off the stored contraction, then y
+        contracted into it."""
+        i_x = Cochain(self.module, 1, self._contraction.apply(vector(x)))
+        return contract(y, i_x).coords
 
     def poisson_bracket(self, v1, v2):
         """{v1, v2} = xi1 . v2 with xi1 a hamiltonian lift of v1."""

@@ -2,6 +2,9 @@
 eagerly: a constructed object is guaranteed to satisfy its defining identities
 (antisymmetry + Jacobi for algebras, the commutator rule for actions, bracket
 preservation for maps). Scalars are exact rationals throughout.
+
+Every subalgebra is presented by spanned_subalgebra, on an ordered list of
+generators; subalgebra is that builder on a subspace's canonical basis.
 """
 
 from fractions import Fraction
@@ -14,8 +17,10 @@ from hamflux.errors import (
     HamfluxError,
     HomViolation,
     JacobiViolation,
+    Unsolvable,
 )
 from hamflux.linalg import (
+    LinearSolver,
     Matrix,
     Subspace,
     _ZERO,
@@ -27,6 +32,7 @@ from hamflux.linalg import (
     sparse_lincomb,
     unit_vector,
     vec_add,
+    vec_neg,
     vector,
     zero_vector,
 )
@@ -268,25 +274,37 @@ class AlgebraHom:
         return f"AlgebraHom({self.source.dim} -> {self.target.dim})"
 
 
-def subalgebra(algebra, subspace):
-    """Present a bracket-closed subspace as an algebra of its own.
+def spanned_subalgebra(algebra, generators):
+    """Present the span of the columns of `generators` as an algebra of its
+    own, on those columns in their order.
 
-    Returns (presentation, inclusion hom). Raises if the subspace is not
-    closed under the bracket.
+    Returns (presentation, inclusion hom). Raises if the columns are linearly
+    dependent or their span is not closed under the bracket. Brackets are
+    solved for i < j only and [e_j, e_i] = -[e_i, e_j] fills in the rest, so
+    the pair named is the first one, in row-major order, that leaves the span.
     """
+    solver = LinearSolver(generators)
+    if solver.kernel().dim:
+        raise HamfluxError("subalgebra generators are linearly dependent")
+    cols = generators.columns()
+    k = len(cols)
+    table = [[zero_vector(k)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            try:
+                table[i][j] = solver.solve(algebra.bracket(cols[i], cols[j]))
+            except Unsolvable:
+                raise HamfluxError(
+                    f"generators are not bracket-closed at pair ({i}, {j})"
+                ) from None
+            table[j][i] = vec_neg(table[i][j])
+    sub = LieAlgebra(table)
+    return sub, AlgebraHom(sub, algebra, generators)
+
+
+def subalgebra(algebra, subspace):
+    """Present a bracket-closed subspace as an algebra of its own, on its
+    canonical basis; see spanned_subalgebra."""
     if subspace.ambient != algebra.dim:
         raise ValueError("ambient mismatch")
-    basis = subspace.basis.columns()
-    k = len(basis)
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            w = algebra.bracket(basis[i], basis[j])
-            try:
-                table[i][j] = subspace.coords_of(w)
-            except HamfluxError as exc:
-                raise HamfluxError(
-                    f"subspace is not closed under the bracket at basis pair ({i}, {j})"
-                ) from exc
-    sub = LieAlgebra(table)
-    return sub, AlgebraHom(sub, algebra, subspace.basis)
+    return spanned_subalgebra(algebra, subspace.basis)

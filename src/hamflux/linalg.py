@@ -9,10 +9,11 @@ integer arithmetic on the nonzeros. Fractions are made only at the boundary:
 the dense views `entries`, `row`, `column`, `columns` and `m[i, j]`, and the
 vectors `apply`, `LinearSolver.solve` and `Subspace.coords_of` return.
 
-Everything reduces to one elimination kernel, _backend.rref_ints, fed the
-stored integers of each row. A reduced row is primitive with a positive
-pivot, so (pivot, its nonzeros) is already a canonical row. A LinearSolver
-reduces only a row basis of its matrix, found by eliminating the transpose.
+Everything reduces to one elimination kernel in _backend, entered only
+through _int_rref and fed the stored integers of each row. A reduced row is
+primitive with a positive pivot, so (pivot, its nonzeros) is already a
+canonical row. A LinearSolver reduces only a row basis of its matrix, found
+by eliminating the transpose.
 All derived objects are canonical so that equal subspaces compare equal and
 repeated runs produce identical output:
 
@@ -366,7 +367,7 @@ def _int_row(row, ncols):
 def _int_rref(rows, ncols):
     """Canonical rows of the rational RREF of scaled rows, and pivot columns.
 
-    Every elimination enters rref_ints here or in LinearSolver.
+    Every elimination enters rref_ints here.
     """
     reduced, pivots = rref_ints([_int_row(r, ncols) for r in rows], ncols)
     return [
@@ -425,21 +426,18 @@ class LinearSolver:
         self.matrix = m
         n = m.ncols
         _, basis = _int_rref(m.transpose().sparse_rows, m.nrows)
-        width = n + len(basis)
-        rows = []
-        for i, k in enumerate(basis):
-            row = m.sparse_rows[k]
-            aug = _int_row(row, width)
-            aug[n + i] = row[0]  # [s * row | s * e_i] for the row's scale s
-            rows.append(aug)
-        reduced, self._a_pivots = rref_ints(rows, width)
-        # each reduced row divided by its pivot value: the A part is a row of
+        # [s * row | s * e_i] for row basis[i] and its scale s; _int_rref
+        # reads only the integers
+        rows = [m.sparse_rows[k] for k in basis]
+        aug = [(s, p + ((n + i, s),)) for i, (s, p) in enumerate(rows)]
+        reduced, self._a_pivots = _int_rref(aug, n + len(basis))
+        # each reduced row is over its pivot value: the A part is a row of
         # RREF(A), the T part a row of the transform on rows of A
         self._a_rows, transform = [], []
-        for row, pc in zip(reduced, self._a_pivots):
-            pv = row[pc]
-            self._a_rows.append(_canon(pv, [(j, a) for j, a in enumerate(row[pc:n], pc) if a]))
-            transform.append(_canon(pv, [(basis[j], a) for j, a in enumerate(row[n:]) if a]))
+        for pv, pairs in reduced:
+            cut = bisect_left(pairs, (n,))
+            self._a_rows.append(_canon(pv, pairs[:cut]))
+            transform.append(_canon(pv, [(basis[j - n], a) for j, a in pairs[cut:]]))
         self._transform = Matrix._from_sparse(transform, m.nrows)
         self._kernel = None
 

@@ -37,9 +37,7 @@ from hamflux.hamiltonian import hamiltonian_pair, pair_bracket
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import (
     Matrix,
-    Subspace,
     hstack,
-    quotient_map,
     solve_affine,
     unit_vector,
     vec_add,
@@ -101,12 +99,12 @@ class MomentumMap:
         if matrix.nrows != analysis.module.dim or matrix.ncols != zeta.source.dim:
             raise ValueError("momentum matrix must be module.dim x g.dim")
         _action_store(analysis, zeta)  # checks the image of zeta is hamiltonian
-        for i in range(zeta.source.dim):
-            dv = differential(Cochain(analysis.module, 0, matrix.column(i)))
-            if dv != contract(zeta.matrix.column(i), analysis.omega):
-                raise InvariantViolation(
-                    f"d(J e_{i}) != i_(zeta e_{i}) omega; not a momentum map"
-                )
+        # column i of each side is d(J e_i) and i_(zeta e_i) omega
+        lhs, rhs = analysis._d0 * matrix, analysis._contraction * zeta.matrix
+        if lhs != rhs:
+            pairs = zip(lhs.transpose().sparse_rows, rhs.transpose().sparse_rows)
+            i = next(i for i, (a, b) in enumerate(pairs) if a != b)
+            raise InvariantViolation(f"d(J e_{i}) != i_(zeta e_{i}) omega; not a momentum map")
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "matrix", matrix)
@@ -426,8 +424,7 @@ def coboundary_trivialization(momentum, alpha):
     cols = []
     for i in range(g.dim):
         xi = zeta.matrix.column(i)
-        a_of_xi = alpha.evaluate(xi)
-        f = vec_add(momentum.matrix.column(i), a_of_xi)
+        f = vec_add(momentum.matrix.column(i), contract(xi, alpha).coords)
         if not analysis.invariants.contains(f):
             raise HamfluxError("trivializing values escaped the invariants")
         cols.append(f)
@@ -518,25 +515,25 @@ def baer_product(analysis, zeta, momentum=None):
     W = LieAlgebra(_extension_table(k2, cen, idle + action, None))
 
     # central antidiagonal {(incl z, -z, 0)}; V^h sits inside V_omega
-    anti = [
-        adm.coords_of(analysis.invariants.basis.column(j))
-        + vec_neg(unit_vector(k, j))
-        + zero_vector(ng)
-        for j in range(k)
-    ]
-    delta = Subspace.from_vectors(nW, anti)
-    for v in delta.basis.columns():
+    incl = [adm.coords_of(analysis.invariants.basis.column(j)) for j in range(k)]
+    anti = [v + vec_neg(unit_vector(k, j)) + zero_vector(ng) for j, v in enumerate(incl)]
+    for v in anti:
         for i in range(nW):
             if not all(x == 0 for x in W.bracket(unit_vector(nW, i), v)):
                 raise HamfluxError("antidiagonal is not central")
 
     # The antidiagonal is central, so the bracket of two classes does not
-    # depend on their representatives. The classes E of the basis vectors at
-    # the V_omega and g slots of W are a basis of the quotient, and E^-1 q
-    # re-coordinates it on V_omega + g.
-    q = quotient_map(nW, delta)
+    # depend on their representatives. The quotient map onto V_omega + g is
+    # the identity on the V_omega and g slots of W and kills the antidiagonal,
+    # so it sends V^h slot j to incl(e_j); that map is the only such one.
+    n_final = k2 + ng
+    to_final = Matrix.from_columns(
+        [unit_vector(n_final, a) for a in range(k2)]
+        + [v + zero_vector(ng) for v in incl]
+        + [unit_vector(n_final, k2 + l) for l in range(ng)],
+        n_final,
+    )
     slots = list(range(k2)) + [k2 + k + l for l in range(ng)]
-    to_final = Matrix.from_columns([q.column(a) for a in slots], nW - k).inverse() * q
     w = W.structure
     total = LieAlgebra([[to_final.apply(w[a][b]) for b in slots] for a in slots])
     result = ExtensionPresentation("baer", total, g, k2)
@@ -548,7 +545,6 @@ def baer_product(analysis, zeta, momentum=None):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 
     ab = abelian_extension(analysis, zeta)
-    n_final = len(slots)
     cols = [unit_vector(n_final, i) for i in range(k2)] + _equivalence_columns(momentum)
     psi = Matrix.from_columns(cols, n_final)
     AlgebraHom(total, ab.total, psi)  # equivalence is an algebra map

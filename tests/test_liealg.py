@@ -19,8 +19,11 @@ from hamflux.liealg import (
     LieModule,
     adjoint_module,
     center,
+    spanned_subalgebra,
     subalgebra,
 )
+from hamflux.gallery import matrix_algebra_example, random_instance
+from hamflux.hamiltonian import analyze
 from hamflux.linalg import Matrix, Subspace, unit_vector, vector
 from util import assert_scaled_row, heis3, sl2, solvable2
 
@@ -142,8 +145,50 @@ def test_subalgebra_borel_of_sl2():
 
 def test_subalgebra_not_closed():
     g = sl2()
-    with pytest.raises(HamfluxError):
+    # span{e, f} misses [e, f] = h
+    with pytest.raises(HamfluxError, match=r"bracket-closed at pair \(0, 1\)"):
         subalgebra(g, Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(HamfluxError, match=r"bracket-closed at pair \(0, 1\)"):
+        spanned_subalgebra(g, Matrix.from_columns([(1, 0, 0), (0, 1, 0)]))
+    # sl3 on E01, E02, E10: [E01, E02] = 0, and the first pair of the full
+    # row-major loop to leave the span is [E01, E10] = H0
+    sl3 = matrix_algebra_example(3).module.algebra
+    gens = Matrix.from_columns([unit_vector(8, 0), unit_vector(8, 1), unit_vector(8, 2)])
+    with pytest.raises(HamfluxError, match=r"bracket-closed at pair \(0, 2\)"):
+        spanned_subalgebra(sl3, gens)
+
+
+def test_spanned_subalgebra_keeps_generator_order():
+    g = sl2()
+    gens = Matrix.from_columns([(0, 0, 1), (1, 0, 0)])  # (h, e)
+    sub, incl = spanned_subalgebra(g, gens)
+    # [h, e] = 2e, twice the second generator
+    assert sub.bracket((1, 0), (0, 1)) == (F(0), F(2))
+    assert incl.matrix == gens
+
+
+def test_spanned_subalgebra_rejects_dependent_generators():
+    gens = Matrix.from_columns([(1, 0, 0), (0, 0, 1), (2, 0, -1)])
+    with pytest.raises(HamfluxError, match="linearly dependent"):
+        spanned_subalgebra(sl2(), gens)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ["hamiltonian", "symplectic"])
+def test_subalgebra_is_spanned_subalgebra_on_its_basis(seed, name):
+    # on (6, 4) these range from dim 1 to 6; seed 7's sp is a proper 5-dim
+    # subalgebra that is not abelian
+    bundle = random_instance((6, 4), seed)
+    g = bundle.module.algebra
+    space = getattr(analyze(bundle.module, bundle.omega), name)
+    sub, incl = subalgebra(g, space)
+    sub2, incl2 = spanned_subalgebra(g, space.basis)
+    assert sub == sub2 and incl.matrix == incl2.matrix == space.basis
+    # reference: every bracket read off the echelon basis of the subspace
+    cols = space.basis.columns()
+    assert sub.structure == tuple(
+        tuple(space.coords_of(g.bracket(x, y)) for y in cols) for x in cols
+    )
 
 
 def test_dimension_zero_algebra():
