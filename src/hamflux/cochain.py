@@ -323,9 +323,6 @@ class CohomologySpace:
             raise ValueError("degree mismatch")
         return self._quot.apply(self.cocycles.coords_of(c.coords))
 
-    def is_trivial_class(self, c):
-        return all(x == 0 for x in self.class_of(c))
-
 
 def cohomology(module, degree):
     """CohomologySpace in degree 0, 1 or 2 (cached per module)."""

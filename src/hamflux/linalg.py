@@ -401,16 +401,6 @@ def kernel_basis(m):
     return Subspace._span(m.ncols, _kernel_vectors(rows, pivots, m.ncols))
 
 
-def solve_affine(m, b):
-    """Solve m x = b exactly.
-
-    Returns (particular, kernel) where the particular solution has every free
-    variable equal to zero. Raises Unsolvable when b is outside the image.
-    """
-    solver = LinearSolver(m)
-    return solver.solve(b), solver.kernel()
-
-
 class LinearSolver:
     """Stored factorization of a matrix for repeated exact solves.
 
@@ -540,14 +530,6 @@ class Subspace:
         except Unsolvable:
             return False
 
-    def sum_with(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return Subspace._span(
-            self.ambient,
-            self.basis.transpose().sparse_rows + other.basis.transpose().sparse_rows,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -572,16 +554,3 @@ def quotient_map(ambient, sub):
         raise ValueError("ambient mismatch")
     ann = kernel_basis(sub.basis.transpose())
     return ann.basis.transpose()
-
-
-def intersect(a, b):
-    """Intersection of two subspaces of the same ambient space."""
-    if a.ambient != b.ambient:
-        raise ValueError("ambient mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient)
-    stacked = hstack(a.basis, -b.basis)
-    pairs = kernel_basis(stacked)
-    # the a-coordinates of each kernel vector are its first a.dim entries
-    top = Matrix._from_sparse(pairs.basis.sparse_rows[: a.dim], pairs.dim)
-    return Subspace.from_columns(a.basis * top)

@@ -21,6 +21,7 @@ from hamflux.cochain import (
     Cochain,
     cohomology,
     contract,
+    contraction_matrix,
     differential,
     differential_matrix,
     lie_derivative,
@@ -36,9 +37,9 @@ from hamflux.errors import (
 from hamflux.hamiltonian import hamiltonian_pair, pair_bracket
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import (
+    LinearSolver,
     Matrix,
     hstack,
-    solve_affine,
     unit_vector,
     vec_add,
     vec_neg,
@@ -77,11 +78,15 @@ def pullback_cocycle(analysis, zeta):
     """
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        z = zeta.matrix.columns()
+        # column i of the product is i_(zeta e_i) omega; contracting zeta e_j
+        # into it gives omega_g(e_i, e_j) as column j of one product per i
+        module, z = analysis.module, zeta.matrix
+        rows = [
+            (contraction_matrix(Cochain(module, 1, col)) * z).columns()
+            for col in (analysis._contraction * z).columns()
+        ]
         omega_g = Cochain.from_values(
-            pullback_module(analysis, zeta),
-            2,
-            lambda i, j: analysis.omega_value(z[i], z[j]),
+            pullback_module(analysis, zeta), 2, lambda i, j: rows[i][j]
         )
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
@@ -363,31 +368,31 @@ def equivariantize(momentum):
 
     Solves d c = tau in C^*(g, V^h) with the trivial action; on success the
     corrected map J - c is a momentum map with tau = 0, and the remaining
-    freedom is Hom(g, V^h) with c([g,g]) = 0.
+    freedom is Hom(g, V^h) with c([g,g]) = 0. That differential is the
+    scalar one of g on each V^h component, so the class in
+    H^2(g, Q) (x) V^h and c are found one component at a time; the class
+    lists (class index, component) pairs in that order.
     """
     analysis = momentum.analysis
-    g = momentum.g
-    tau_t = obstruction_as_invariant_cochain(momentum)
-    triv = tau_t.module
-    h2 = cohomology(triv, 2)
-    d1 = differential_matrix(triv, 1)
+    inv = analysis.invariants
+    k = inv.dim
+    # cochain coordinates are tuple-major, so component a is tau[a::k]
+    tau = obstruction_as_invariant_cochain(momentum).coords
+    scalar = LieModule.trivial(momentum.g, 1)
+    h2 = cohomology(scalar, 2)
+    parts = [Cochain(scalar, 2, tau[a::k]) for a in range(k)]
+    cls = tuple(x for xs in zip(*map(h2.class_of, parts)) for x in xs)
+    solver = LinearSolver(differential_matrix(scalar, 1))
     try:
-        c_flat, _ = solve_affine(d1, tau_t.coords)
+        # row a of c is the particular solution of component a
+        rows = [solver.solve(part.coords) for part in parts]
     except Unsolvable:
-        cls = h2.class_of(tau_t)
-        return EquivariantizationResult(None, None, tuple(cls), h2.dim)
-    k = analysis.invariants.dim
-    shift_cols = []
-    for l in range(g.dim):
-        coeffs = c_flat[l * k : (l + 1) * k]
-        shift_cols.append(analysis.invariants.basis.apply(coeffs))
-    shift = Matrix.from_columns(shift_cols, analysis.module.dim)
+        return EquivariantizationResult(None, None, cls, k * h2.dim)
+    shift = inv.basis * Matrix(rows, momentum.g.dim)
     corrected = MomentumMap(analysis, momentum.zeta, momentum.matrix - shift)
-    tau_after = obstruction_cocycle(corrected)
-    if not tau_after.is_zero():
+    if not obstruction_cocycle(corrected).is_zero():
         raise HamfluxError("equivariantization failed to kill the obstruction")
-    cls = h2.class_of(tau_t)
-    return EquivariantizationResult(corrected, shift, tuple(cls), h2.dim)
+    return EquivariantizationResult(corrected, shift, cls, k * h2.dim)
 
 
 def extended_momentum(momentum):

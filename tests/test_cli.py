@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflux.linalg
 from hamflux.cli import main
+from hamflux.cochain import Cochain
 from hamflux.gallery import matrix_algebra_example
-from hamflux.liealg import AlgebraHom, LieAlgebra
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import Matrix
 from hamflux.problemfile import MAX_DIM, ProblemFile, parse_problem, problem_to_text
 
@@ -203,6 +205,31 @@ def test_dimensions_at_the_limit_parse(capsys, tmp_path):
         doc.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "validate", doc)
         assert code == 0, err
+
+
+def test_momentum_at_the_limit_stays_small(capsys, tmp_path, monkeypatch):
+    # abelian g = h of dim MAX_DIM on a trivial module of dim MAX_DIM, zero
+    # omega and identity zeta: V^h is the whole module, so the obstruction
+    # lives in C^2(g, Q^16). Written here, not under tests/data, whose
+    # documents the benchmark runs against recorded digests.
+    g = LieAlgebra.abelian(MAX_DIM)
+    module = LieModule.trivial(g, MAX_DIM)
+    pf = ProblemFile.from_parts(module, Cochain.zero(module, 2), AlgebraHom.identity(g))
+    doc = tmp_path / "limit.json"
+    doc.write_text(problem_to_text(pf), encoding="utf-8")
+    cells = []
+    rref_ints = hamflux.linalg.rref_ints
+
+    def counting(rows, ncols):
+        cells.append(len(rows) * ncols)
+        return rref_ints(rows, ncols)
+
+    monkeypatch.setattr(hamflux.linalg, "rref_ints", counting)
+    data = run_json(capsys, "momentum", doc)
+    # H^2(g, V^h) = H^2(g, Q) (x) Q^16, with C(16, 2) = 120 scalar classes
+    assert data["cohomology_dim"] == 1920
+    assert data["equivariantizable"] is True
+    assert cells and max(cells) <= 10**5
 
 
 def test_extend_central_gives_heis3_constants(capsys):

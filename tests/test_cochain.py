@@ -281,10 +281,10 @@ def test_cohomology_class_computation_on_heis3():
     h2 = cohomology(mod, 2)
     # omega(X,Y) = 1 is a coboundary (d of alpha with alpha(Z) = -1)
     exact = Cochain.from_dict(mod, 2, {(0, 1): (1,)})
-    assert h2.is_trivial_class(exact)
+    assert not any(h2.class_of(exact))
     # omega(X,Z) = 1 is closed but not exact
     other = Cochain.from_dict(mod, 2, {(0, 2): (1,)})
-    assert not h2.is_trivial_class(other)
+    assert any(h2.class_of(other))
     assert cohomology(mod, 2) is h2  # cached
 
 

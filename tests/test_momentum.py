@@ -8,20 +8,32 @@ instance with omega = -bracket has J = identity, which is already
 equivariant, so every obstruction-level object collapses.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamflux.momentum
-from hamflux.cochain import Cochain
+from hamflux.cochain import Cochain, CohomologySpace, differential_matrix
 from hamflux.errors import (
     HamfluxError,
     ImageNotHamiltonian,
     InvariantViolation,
     NotPrimitive,
+    Unsolvable,
 )
 from hamflux.hamiltonian import analyze
-from hamflux.gallery import matrix_algebra_example
+from hamflux.gallery import from_central_extension, matrix_algebra_example, random_instance
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
-from hamflux.linalg import Matrix, Subspace, unit_vector
+from hamflux.linalg import (
+    LinearSolver,
+    Matrix,
+    Subspace,
+    kernel_basis,
+    unit_vector,
+    vec_neg,
+)
 from hamflux.momentum import (
     ExtensionPresentation,
     MomentumMap,
@@ -428,3 +440,128 @@ def test_tau_values_outside_the_invariants_raise(monkeypatch):
         obstruction_cocycle(momentum)
     assert type(err.value) is HamfluxError
     assert str(err.value) == "obstruction value escaped the invariants"
+
+
+# -- equivariantize against the k-fold trivial complex ---------------------------
+
+def reference_equivariantize(momentum):
+    """(corrected matrix, shift, class, cohomology dim) of equivariantize,
+    computed in the k-fold complex C^*(g, V^h) with the trivial action."""
+    analysis, g = momentum.analysis, momentum.g
+    inv = analysis.invariants
+    k = inv.dim
+    tau = obstruction_as_invariant_cochain(momentum)
+    triv = LieModule.trivial(g, k)
+    h2 = CohomologySpace(triv, 2)
+    cls = tuple(h2.class_of(Cochain(triv, 2, tau.coords)))
+    try:
+        c = LinearSolver(differential_matrix(triv, 1)).solve(tau.coords)
+    except Unsolvable:
+        return None, None, cls, h2.dim
+    cols = [inv.basis.apply(c[l * k : (l + 1) * k]) for l in range(g.dim)]
+    shift = Matrix.from_columns(cols, analysis.module.dim)
+    return momentum.matrix - shift, shift, cls, h2.dim
+
+
+def result_fields(result):
+    corrected = None if result.momentum is None else result.momentum.matrix
+    return corrected, result.shift, result.obstruction_class, result.cohomology_dim
+
+
+def tau_instance(g, tau):
+    """A momentum map over g whose obstruction is tau in C^2(g, Q^k).
+
+    g acts on V = Q^k + g by x.(z, y) = (tau(x, y), [x, y]), the adjoint
+    action of Q^k x_tau g factored through g, with
+    omega(x, y) = -(tau(x, y), [x, y]) and zeta the identity; then
+    J(x) = (0, x) up to V^h, and V^h holds Q^k.
+    """
+    k, n, c = tau.module.dim, g.dim, g.structure
+
+    def value(x, y):
+        return tuple(tau.value(x, y)) + c[x][y]
+
+    zero = (0,) * (k + n)
+    mats = [
+        Matrix.from_columns([zero] * k + [value(x, y) for y in range(n)], k + n)
+        for x in range(n)
+    ]
+    module = LieModule(g, k + n, mats)
+    omega = Cochain.from_values(module, 2, lambda x, y: vec_neg(value(x, y)))
+    momentum, _ = solve_momentum(analyze(module, omega), AlgebraHom.identity(g))
+    return momentum
+
+
+@lru_cache(maxsize=None)
+def equivariantize_algebra(i):
+    if i < 2:
+        return LieAlgebra.abelian(3 + i)
+    dims, seed = [((3, 2), 0), ((4, 2), 1), ((4, 2), 2), ((5, 2), 1), ((5, 2), 4)][i - 2]
+    return random_instance(dims, seed).module.algebra
+
+
+# derandomized, so every run tries the same cases and a failure reproduces
+@pytest.mark.parametrize("i", range(7))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(k=st.sampled_from([2, 3]), exact=st.booleans(), data=st.data())
+def test_equivariantize_matches_the_k_fold_complex(i, k, exact, data):
+    g = equivariantize_algebra(i)
+    triv = LieModule.trivial(g, k)
+    if exact:
+        # a coboundary d c: the obstruction is solvable
+        d1 = differential_matrix(triv, 1)
+        c = data.draw(st.lists(st.integers(-2, 2), min_size=d1.ncols, max_size=d1.ncols))
+        coords = d1.apply(c)
+    else:
+        # a random cocycle: usually obstructed
+        closed = kernel_basis(differential_matrix(triv, 2)).basis
+        a = data.draw(st.lists(st.integers(-2, 2), min_size=closed.ncols, max_size=closed.ncols))
+        coords = closed.apply(a)
+    momentum = tau_instance(g, Cochain(triv, 2, coords))
+    result = equivariantize(momentum)
+    expected = reference_equivariantize(momentum)
+    assert result_fields(result) == expected
+    assert result.success == (expected[1] is not None)
+    if exact:
+        assert result.success
+
+
+def test_equivariantize_lists_the_class_index_major():
+    # abelian Q^3 with tau = (e^01, e^02): H^2(g, Q) is all of C^2, so the
+    # class of component a is its coordinates on (01), (02), (12)
+    g = LieAlgebra.abelian(3)
+    triv = LieModule.trivial(g, 2)
+    tau = Cochain.from_dict(triv, 2, {(0, 1): (1, 0), (0, 2): (0, 1)})
+    momentum = tau_instance(g, tau)
+    assert momentum.analysis.invariants.dim == 2
+    result = equivariantize(momentum)
+    # (class index, component): component 1 has class index 1, so a
+    # component-major order would read (1, 0, 0, 0, 1, 0)
+    assert result.obstruction_class == (1, 0, 0, 1, 0, 0)
+    assert result_fields(result) == reference_equivariantize(momentum)
+    assert not result.success and result.cohomology_dim == 6
+
+
+def _heis3_plus_abelian(extra):
+    """heis3 + Q^extra: [e_0, e_1] = e_2 on 3 + extra basis vectors."""
+    n = 3 + extra
+    table = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    table[0][1] = unit_vector(n, 2)
+    table[1][0] = vec_neg(unit_vector(n, 2))
+    return LieAlgebra(table)
+
+
+@pytest.mark.parametrize(
+    "extra, z, k, dim, success",
+    [(1, [(0, 0, 1, 0)], 2, 6, False), (2, [], 3, 21, True)],
+)
+def test_equivariantize_central_extension_instances(extra, z, k, dim, success):
+    hat = _heis3_plus_abelian(extra)
+    bundle = from_central_extension(hat, Subspace.from_vectors(hat.dim, z))
+    analysis = analyze(bundle.module, bundle.omega)
+    momentum, _ = solve_momentum(analysis, bundle.zeta)
+    assert analysis.invariants.dim == k
+    result = equivariantize(momentum)
+    assert result.success is success
+    assert result.cohomology_dim == dim
+    assert result_fields(result) == reference_equivariantize(momentum)

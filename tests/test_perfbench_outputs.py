@@ -2,8 +2,8 @@
 
 perfbench/reference.json holds a digest of the stdout of every cli-mixed op
 and of the sl3 results (the whole pipeline, with its Baer, central and
-abelian extensions, and every query). Running the fixtures, the heaviest
-stratum of each random-instance dims and the sl3 workloads here makes a
+abelian extensions, and every query). Running the fixtures, every random
+document the cli-mixed strata can draw and the sl3 workloads here makes a
 change to any of these outputs fail the tests, not only a benchmark run.
 
 The benchmark stops at sl3. The sl4 pipeline, whose degree-2 differential is
@@ -26,8 +26,10 @@ def test_cli_outputs_match_the_benchmark_reference(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     docs = workloads.fixture_documents() + [
-        workloads.random_document(dims, strata[-1][0])
+        workloads.random_document(dims, s)
         for dims, strata in workloads.CLI_STRATA.items()
+        for stratum in strata
+        for s in stratum
     ]
     state = {"reference": workloads.load_reference()["cli-mixed"]}
     ops = workloads.cli_ops(docs, tmp_path)
