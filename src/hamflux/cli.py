@@ -16,7 +16,6 @@ rendering per object.
 import argparse
 import random
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .cochain import Cochain
@@ -24,7 +23,7 @@ from .errors import HamfluxError, ParseError, ValidationError
 from .groupelem import group_cocycle, group_element
 from .hamiltonian import analyze
 from .liealg import LieModule, spanned_subalgebra
-from .linalg import rat_str, vec_add
+from .linalg import _neg, rat_str, sparse_lincomb
 from .momentum import (
     MomentumMap,
     abelian_extension,
@@ -145,8 +144,9 @@ def cmd_validate(pf, args):
 
 
 def _random_member(rng, subspace):
-    coords = [Fraction(rng.randint(-3, 3)) for _ in range(subspace.dim)]
-    return subspace.basis.apply(coords)
+    # a scaled row: two canonical rows are equal iff their vectors are
+    coeffs = [rng.randint(-3, 3) for _ in range(subspace.dim)]
+    return sparse_lincomb(zip(coeffs, subspace._basis_rows()))
 
 
 def _run_probes(analysis, seed, count=20):
@@ -154,21 +154,19 @@ def _run_probes(analysis, seed, count=20):
     antisymmetry, poisson Jacobi on random admissible vectors. Exact; any
     failure is a library bug, reported as a mathematical failure."""
     rng = random.Random(f"hamflux-analyze:{seed}")
-    module = analysis.module
+    bracket = analysis._bracket_row
     for _ in range(count):
-        v1 = _random_member(rng, analysis.admissible)
-        v2 = _random_member(rng, analysis.admissible)
-        v3 = _random_member(rng, analysis.admissible)
-        b12 = analysis.poisson_bracket(v1, v2)
-        shifted = vec_add(analysis.hamiltonian_lift(v1), _random_member(rng, analysis.radical))
-        if module.act(shifted, v2) != b12:
+        v1, v2, v3 = (_random_member(rng, analysis.admissible) for _ in range(3))
+        b12 = bracket(v1, v2)
+        shifted = sparse_lincomb(
+            ((1, analysis._lift_row(v1)), (1, _random_member(rng, analysis.radical)))
+        )
+        if analysis.module._act_row(shifted, v2) != b12:
             raise HamfluxError("probe failed: poisson bracket depends on the lift")
-        if analysis.poisson_bracket(v2, v1) != tuple(-x for x in b12):
+        if bracket(v2, v1) != _neg(b12):
             raise HamfluxError("probe failed: poisson bracket is not antisymmetric")
-        total = analysis.poisson_bracket(v1, analysis.poisson_bracket(v2, v3))
-        total = vec_add(total, analysis.poisson_bracket(v2, analysis.poisson_bracket(v3, v1)))
-        total = vec_add(total, analysis.poisson_bracket(v3, b12))
-        if any(total):
+        cyclic = (bracket(v1, bracket(v2, v3)), bracket(v2, bracket(v3, v1)), bracket(v3, b12))
+        if sparse_lincomb((1, r) for r in cyclic)[1]:
             raise HamfluxError("probe failed: poisson Jacobi identity")
     return {"seed": seed, "count": count, "ok": True}
 

@@ -323,11 +323,5 @@ def _random_cocycle(rng, module):
     closed = kernel_basis(differential_matrix(module, 2))
     if closed.dim == 0:
         return Cochain.zero(module, 2)
-    coords = zero_vector(dim2)
-    for i in range(closed.dim):
-        if rng.random() < 0.7:
-            c = rng.choice(_SMALL)
-            coords = tuple(
-                a + c * b for a, b in zip(coords, closed.basis.column(i))
-            )
-    return Cochain(module, 2, coords)
+    coeffs = [rng.choice(_SMALL) if rng.random() < 0.7 else 0 for _ in range(closed.dim)]
+    return Cochain(module, 2, closed.basis.apply(coeffs))

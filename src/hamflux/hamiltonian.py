@@ -10,9 +10,9 @@ returns an analysis that derives, as exact subspaces on first access:
     invariants   V^h = {v : h.v = 0}
     admissible       = {v : d v = i_xi omega solvable with xi hamiltonian}
 
-together with stored factorizations for the two solves that everything else
-repeats: producing a hamiltonian lift xi from an admissible v, and a
-potential v from a hamiltonian xi. The Poisson bracket on admissible vectors
+together with a lift matrix, whose columns are the canonical hamiltonian
+lifts of the admissible basis, and a stored factorization that solves for a
+potential v of a hamiltonian xi. The Poisson bracket on admissible vectors
 is {v1, v2} = xi1 . v2, which equals -omega(xi1, xi2) and -xi2 . v1 and is
 independent of the lift choice because the lift is unique modulo the radical.
 """
@@ -40,9 +40,13 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
+    _checked_row,
+    _dense,
+    _sparse,
     hstack,
     kernel_basis,
     quotient_map,
+    sparse_lincomb,
     unit_vector,
     vec_add,
     vec_neg,
@@ -79,6 +83,15 @@ class HamiltonianAnalysis:
     @cached_property
     def _lift_solver(self):
         return LinearSolver(vstack(self._contraction, self._contraction3))
+
+    @cached_property
+    def _lift_matrix(self):
+        # the lift matrix L, stored by columns: row j is the canonical lift of
+        # admissible basis vector j, solved once
+        zero = zero_vector(self._contraction3.nrows)
+        cols = self.admissible.basis.columns()
+        lifts = [self._lift_solver.solve(self._d0.apply(b) + zero) for b in cols]
+        return Matrix._from_sparse(map(_sparse, lifts), self.module.algebra.dim)
 
     @cached_property
     def _potential_solver(self):
@@ -133,12 +146,19 @@ class HamiltonianAnalysis:
 
     def hamiltonian_lift(self, v):
         """Canonical xi with d v = i_xi omega; NotAdmissible if none exists."""
-        v = vector(v)
-        rhs = tuple(self._d0.apply(v)) + zero_vector(self._contraction3.nrows)
+        row = self._lift_row(_checked_row(v, self.module.dim))
+        return _dense(row, self.module.algebra.dim)
+
+    def _lift_row(self, row):
+        # the canonical solve is linear in its right-hand side, so the lift
+        # of v is L times the coordinates of v in the admissible basis; those
+        # exist iff v has a lift, since admissible projects the pair kernel
         try:
-            return self._lift_solver.solve(rhs)
+            s, coords = self.admissible._coords_row(row)
         except Unsolvable:
             raise NotAdmissible("vector has no hamiltonian lift") from None
+        lifts = self._lift_matrix.sparse_rows
+        return sparse_lincomb(((a, lifts[k]) for k, a in coords), s)
 
     def potential_of(self, xi):
         """Canonical v with d v = i_xi omega, for hamiltonian xi."""
@@ -158,8 +178,12 @@ class HamiltonianAnalysis:
 
     def poisson_bracket(self, v1, v2):
         """{v1, v2} = xi1 . v2 with xi1 a hamiltonian lift of v1."""
-        xi1 = self.hamiltonian_lift(v1)
-        return self.module.act(xi1, vector(v2))
+        m = self.module.dim
+        return _dense(self._bracket_row(_checked_row(v1, m), _checked_row(v2, m)), m)
+
+    def _bracket_row(self, r1, r2):
+        """Scaled row of {v1, v2} for scaled rows."""
+        return self.module._act_row(self._lift_row(r1), r2)
 
     def flux_class(self, xi):
         """Class of i_xi omega in H^1(h, V); defined for symplectic xi."""

@@ -7,7 +7,6 @@ Every subalgebra is presented by spanned_subalgebra, on an ordered list of
 generators; subalgebra is that builder on a subspace's canonical basis.
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 
@@ -23,7 +22,8 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
-    _ZERO,
+    _canon,
+    _checked_row,
     _concat,
     _dense,
     _neg,
@@ -205,18 +205,20 @@ class LieModule:
         return Matrix._from_sparse(rows, self.dim)
 
     def act(self, x, v):
-        """x . v for coordinate vectors, as integer sums over one scale."""
-        if len(x) != self.algebra.dim or len(v) != self.dim:
-            raise ValueError("vector length mismatch")
-        (sx, xs), (sv, vs) = _sparse(x), _sparse(v)
+        """x . v for coordinate vectors."""
+        xs, vs = _checked_row(x, self.algebra.dim), _checked_row(v, self.dim)
+        return _dense(self._act_row(xs, vs), self.dim)
+
+    def _act_row(self, xs, vs):
+        """Scaled row of x . v for scaled rows, as integer sums over one scale."""
+        (sx, xs), (sv, vs) = xs, vs
         terms = [(c, self.action[l].sparse_rows) for l, c in xs]
         den, ints, acc = lcm(*[s for _, a in terms for s, _ in a]), dict(vs), [0] * self.dim
         for c, rows in terms:
             for r, (s, p) in enumerate(rows):
                 if p:
                     acc[r] += c * (den // s) * sum([a * ints[j] for j, a in p if j in ints])
-        den *= sx * sv
-        return tuple(Fraction(t, den) if t else _ZERO for t in acc)
+        return _canon(den * sx * sv, [(r, t) for r, t in enumerate(acc) if t])
 
     def __eq__(self, other):
         return (

@@ -119,6 +119,13 @@ def _sparse(vec):
     return den, tuple([(j, x.numerator * (den // x.denominator)) for j, x in nz])
 
 
+def _checked_row(v, n):
+    """Scaled row of v; ValueError unless len(v) == n, TypeError if inexact."""
+    if len(v) != n:
+        raise ValueError("vector length mismatch")
+    return _sparse(vector(v))
+
+
 def _dense(row, n):
     s, pairs = row
     out = [_ZERO] * n
@@ -462,12 +469,12 @@ class Subspace:
     two subspaces are equal iff their basis matrices are equal.
     """
 
-    __slots__ = ("ambient", "basis", "_pivots")
+    __slots__ = ("ambient", "basis", "_rows")
 
     def __init__(self, ambient, basis):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -504,24 +511,30 @@ class Subspace:
     def dim(self):
         return self.basis.ncols
 
-    def _pivot_rows(self):
-        if self._pivots is None:
-            # each basis column starts at its pivot
-            piv = tuple(r[0][0] for _, r in self.basis.transpose().sparse_rows)
-            object.__setattr__(self, "_pivots", piv)
-        return self._pivots
+    def _basis_rows(self):
+        """The basis vectors as scaled rows: the rows of the RREF."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", self.basis.transpose().sparse_rows)
+        return self._rows
+
+    def _coords_row(self, row):
+        """Scaled row of the coordinates of the scaled row `row`.
+
+        Each basis row has a unit pivot, so coordinate k is the integer of
+        `row` at pivot k over the scale of `row`; Unsolvable when recombining
+        the basis does not give `row` back.
+        """
+        s, ints = row[0], dict(row[1])
+        rows = self._basis_rows()
+        # each basis row starts at its pivot
+        coords = [(k, ints[r[0][0]]) for k, (_, r) in enumerate(rows) if r[0][0] in ints]
+        if sparse_lincomb(((a, rows[k]) for k, a in coords), s) != row:
+            raise Unsolvable("vector outside subspace")
+        return _canon(s, coords)
 
     def coords_of(self, v):
         """Coordinates of v in the canonical basis; Unsolvable if v is outside."""
-        if len(v) != self.ambient:
-            raise ValueError("vector length mismatch")
-        v = vector(v)
-        # the echelon basis has unit pivots, so coordinates are plain reads;
-        # the residual check catches vectors outside the span
-        coords = tuple(v[p] for p in self._pivot_rows())
-        if self.basis.apply(coords) != v:
-            raise Unsolvable("vector outside subspace")
-        return coords
+        return _dense(self._coords_row(_checked_row(v, self.ambient)), self.dim)
 
     def contains(self, v):
         try:

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflux.cli
 import hamflux.linalg
 from hamflux.cli import main
 from hamflux.cochain import Cochain
 from hamflux.gallery import matrix_algebra_example
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
-from hamflux.linalg import Matrix
+from hamflux.linalg import Matrix, Subspace
 from hamflux.problemfile import MAX_DIM, ProblemFile, parse_problem, problem_to_text
 
 DATA = Path(__file__).parent / "data"
@@ -95,6 +96,75 @@ def test_analyze_seeded_probes_deterministic(capsys):
     assert "probes: 20 ok (seed 7)" in first[1]
     data = run_json(capsys, "analyze", DATA / "heis3.json", "--seed", "3")
     assert data["probes"] == {"seed": 3, "count": 20, "ok": True}
+
+
+def test_analyze_probes_solve_once_per_admissible_basis_vector(capsys, monkeypatch):
+    solves = []
+    solve = hamflux.linalg.LinearSolver.solve
+
+    def counting(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(hamflux.linalg.LinearSolver, "solve", counting)
+    code, out, _ = run(capsys, "analyze", DATA / "sl2_m2.json", "--seed", "7")
+    assert code == 0 and "probes: 20 ok (seed 7)" in out
+    assert "admissible          4\n" in out
+    assert len(solves) <= 4
+
+
+# faults in the sl2_m2 analysis, each making exactly one probe check fail first
+
+
+def _wrong_radical(an, monkeypatch):
+    an.radical = Subspace.full(an.module.algebra.dim)
+
+
+def _rotated_lifts(an, monkeypatch):
+    rows = an._lift_matrix.sparse_rows
+    an._lift_matrix = Matrix._from_sparse(rows[1:] + rows[:1], an._lift_matrix.ncols)
+
+
+def _skewed_action(an, monkeypatch):
+    # x . v followed by a map that doubles coordinate 1: the bracket stays
+    # antisymmetric and independent of the lift, but fails Jacobi
+    act_row = LieModule._act_row
+    skew = Matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def skewed(self, xs, vs):
+        return hamflux.linalg._sparse(skew.apply(hamflux.linalg._dense(act_row(self, xs, vs), 4)))
+
+    monkeypatch.setattr(LieModule, "_act_row", skewed)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_wrong_radical, "poisson bracket depends on the lift"),
+        (_rotated_lifts, "poisson bracket is not antisymmetric"),
+        (_skewed_action, "poisson Jacobi identity"),
+    ],
+)
+def test_each_probe_failure_exits_3(capsys, monkeypatch, fault, message):
+    analyze = hamflux.cli.analyze
+
+    def faulty(module, omega):
+        an = analyze(module, omega)
+        fault(an, monkeypatch)
+        return an
+
+    monkeypatch.setattr(hamflux.cli, "analyze", faulty)
+    code, out, err = run(capsys, "analyze", DATA / "sl2_m2.json", "--seed", "7")
+    assert (code, out) == (3, "")
+    assert err == f"error: HamfluxError: probe failed: {message}\n"
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.glob("*.json")))
+def test_analyze_probes_pass_on_every_fixture(capsys, fixture):
+    expected = 2 if fixture == "broken_jacobi.json" else 0
+    for seed in range(10):
+        code, _, err = run(capsys, "analyze", DATA / fixture, "--seed", seed)
+        assert code == expected, (seed, err)
 
 
 def test_validate_reports_blocks(capsys):

@@ -20,19 +20,11 @@ from hamflux.liealg import LieAlgebra
 from hamflux.linalg import Matrix, Subspace
 from hamflux.momentum import MomentumMap, equivariant_pair_check, solve_momentum
 
-from util import heis3, solvable2
+from util import heis3, heis3_plus_line, solvable2
 
 
 def unit(n, i):
     return tuple(1 if q == i else 0 for q in range(n))
-
-
-def heis3_plus_line():
-    """Basis (X, Y, Z, W) with [X, Y] = Z; W spans an extra central line."""
-    table = [[(0,) * 4 for _ in range(4)] for _ in range(4)]
-    table[0][1] = (0, 0, 1, 0)
-    table[1][0] = (0, 0, -1, 0)
-    return LieAlgebra(table)
 
 
 def test_heis3_recovery():

@@ -12,8 +12,10 @@ Instances frozen here (all values derived by hand from the definitions):
    rad = sp = ham = span h; normalizer = span h is proper in sl2.
 """
 
+import random
 from fractions import Fraction as F
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from hamflux.errors import (
     NotAdmissible,
     NotInImage,
     NotSymplectic,
+    Unsolvable,
 )
 from hamflux.hamiltonian import (
     HamiltonianPair,
@@ -40,7 +43,7 @@ from hamflux.hamiltonian import (
     oneform_bracket,
     pair_bracket,
 )
-from hamflux.gallery import matrix_algebra_example, random_instance
+from hamflux.gallery import from_central_extension, matrix_algebra_example, random_instance
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
 from hamflux.linalg import (
     LinearSolver,
@@ -52,6 +55,7 @@ from hamflux.linalg import (
     unit_vector,
     vector,
     vstack,
+    zero_vector,
 )
 from hamflux.momentum import (
     abelian_extension,
@@ -60,7 +64,10 @@ from hamflux.momentum import (
     equivariantize,
     solve_momentum,
 )
-from util import heis3, heis_pair_instance, sl2, sl2_adjoint_instance
+from hamflux.problemfile import parse_problem
+from util import heis3, heis3_plus_line, heis_pair_instance, sl2, sl2_adjoint_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def point_symplectic():
@@ -288,6 +295,34 @@ def test_queries_reject_wrong_length_vectors(xi):
         an.omega_value(xi, (0, 1, 0))
     with pytest.raises(ValueError):
         an.omega_value((0, 1, 0), xi)
+    with pytest.raises(ValueError):
+        an.hamiltonian_lift(xi)
+    with pytest.raises(ValueError):
+        an.poisson_bracket(xi, (0, 1, 0))
+    with pytest.raises(ValueError):
+        an.poisson_bracket((0, 1, 0), xi)
+    with pytest.raises(ValueError):
+        an.module.act(xi, (0, 1, 0))
+    with pytest.raises(ValueError):
+        an.module.act((0, 1, 0), xi)
+    with pytest.raises(ValueError):
+        an.admissible.coords_of(xi)
+
+
+def test_queries_reject_inexact_entries():
+    an = analyze(*sl2_adjoint_instance())
+    inexact, exact = (0, 0.5, 0), (0, 1, 0)
+    queries = [
+        partial(an.hamiltonian_lift, inexact),
+        partial(an.poisson_bracket, inexact, exact),
+        partial(an.poisson_bracket, exact, inexact),
+        partial(an.module.act, inexact, exact),
+        partial(an.module.act, exact, inexact),
+        partial(an.admissible.coords_of, inexact),
+    ]
+    for query in queries:
+        with pytest.raises(TypeError):
+            query()
 
 
 # -- the lattice is derived on first access --------------------------------------
@@ -379,7 +414,7 @@ def test_momentum_and_extensions_leave_the_rest_of_the_lattice_unbuilt(name):
     baer_product(an, zeta, momentum=momentum)
     equivariantize(momentum)
     built = set(vars(an))
-    assert not built & {"symplectic", "radical", "normalizer", "_lift_solver"}
+    assert not built & {"symplectic", "radical", "normalizer", "_lift_solver", "_lift_matrix"}
     assert {"hamiltonian", "admissible", "invariants", "_potential_solver"} <= built
 
 
@@ -412,3 +447,111 @@ def test_oneform_bracket_builds_its_solver_once(instance, monkeypatch):
         assert oneform_bracket(an, forms[i], forms[j]) == value
     assert len(built) == 1
     assert vars(an)["_oneform_solver"] is an._oneform_solver
+
+
+# -- the lift matrix and the row kernels against solver references ---------------
+
+def heis_pair_plus_jordan():
+    """The heis pair with a summand Q^2 on which e_0 acts by a Jordan block.
+    omega has no values in the summand, so its non-invariant vector is not
+    admissible: V_omega is proper, and the lifts on the heis part are not 0."""
+    h = LieAlgebra.abelian(2)
+    rho_x = [[0] * 5 for _ in range(5)]
+    rho_y = [[0] * 5 for _ in range(5)]
+    rho_x[2][1], rho_x[3][4], rho_y[2][0] = 1, 1, -1
+    module = LieModule(h, 5, [rho_x, rho_y])
+    return module, Cochain.from_dict(module, 2, {(0, 1): (0, 0, -1, 0, 0)})
+
+
+def fixture_pair(name):
+    pf = parse_problem((DATA / f"{name}.json").read_text())
+    return pf.module, pf.omega
+
+
+def bundle_pair(bundle):
+    return bundle.module, bundle.omega
+
+
+# instances whose ham is nontrivial, so lifts and brackets are not all zero
+LIFT_INSTANCES = {
+    "heis_pair": heis_pair_instance,
+    "heis_pair_plus_jordan": heis_pair_plus_jordan,
+    "sl2_adjoint": sl2_adjoint_instance,
+    "heis3_fixture": partial(fixture_pair, "heis3"),
+    "sl2_m2_fixture": partial(fixture_pair, "sl2_m2"),
+    "gl2": lambda: bundle_pair(matrix_algebra_example(2)),
+    "central_heis3": lambda: bundle_pair(
+        from_central_extension(heis3(), Subspace.from_vectors(3, [(0, 0, 1)]))
+    ),
+    # the radical is a line here, so the canonical lift is a choice
+    "central_heis3_plus_line": lambda: bundle_pair(
+        from_central_extension(heis3_plus_line(), Subspace.from_vectors(4, [(0, 0, 1, 0)]))
+    ),
+}
+
+SAMPLE_COEFFS = [F(x) for x in (-2, -1, 0, 1, 3)] + [F(1, 2), F(-2, 3)]
+
+
+def sample_vectors(rng, sub, count=6):
+    """Unit vectors and zero in the ambient of sub, members of sub and
+    random vectors."""
+    n = sub.ambient
+    draw = partial(rng.choice, SAMPLE_COEFFS)
+    members = [sub.basis.apply([draw() for _ in range(sub.dim)]) for _ in range(count)]
+    others = [tuple(draw() for _ in range(n)) for _ in range(count)]
+    return [unit_vector(n, i) for i in range(n)] + [zero_vector(n)] + members + others
+
+
+def reference_coords(sub, v):
+    """Dense pivot read and a residual check through basis.apply."""
+    pivots = [next(i for i, x in enumerate(col) if x) for col in sub.basis.columns()]
+    coords = tuple(F(v[p]) for p in pivots)
+    if sub.basis.apply(coords) != vector(v):
+        raise Unsolvable("outside")
+    return coords
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_INSTANCES))
+def test_lifts_and_brackets_equal_the_solver_references(name):
+    module, omega = LIFT_INSTANCES[name]()
+    an = analyze(module, omega)
+    c3 = eager_contraction(differential(omega))
+    solver = LinearSolver(vstack(eager_contraction(omega), c3))
+    d0 = differential_matrix(module, 0)
+    vectors = sample_vectors(random.Random(name), an.admissible)
+    lifted = rejected = 0
+    for v in vectors:
+        try:
+            expected = solver.solve(d0.apply(v) + zero_vector(c3.nrows))
+        except Unsolvable:
+            with pytest.raises(NotAdmissible, match="^vector has no hamiltonian lift$"):
+                an.hamiltonian_lift(v)
+            with pytest.raises(NotAdmissible):
+                an.poisson_bracket(v, vectors[0])
+            assert not an.admissible.contains(v)
+            rejected += 1
+            continue
+        assert an.hamiltonian_lift(v) == expected
+        lifted += any(expected)
+        for w in vectors:
+            assert an.poisson_bracket(v, w) == module.act(expected, w)
+            assert module.act(expected, w) == module.action_of(expected).apply(w)
+    assert lifted
+    # every unit vector is a sample, so a proper V_omega leaves some out
+    assert bool(rejected) == (an.admissible.dim < module.dim)
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_INSTANCES))
+def test_coordinates_equal_the_dense_reference(name):
+    an = analyze(*LIFT_INSTANCES[name]())
+    rng = random.Random(name)
+    for attr in ("admissible", "invariants", "radical", "hamiltonian", "symplectic"):
+        sub = getattr(an, attr)
+        for v in sample_vectors(rng, sub):
+            try:
+                expected = reference_coords(sub, v)
+            except Unsolvable:
+                with pytest.raises(Unsolvable):
+                    sub.coords_of(v)
+                continue
+            assert sub.coords_of(v) == expected, attr

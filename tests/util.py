@@ -35,6 +35,14 @@ def heis3():
     return LieAlgebra(table)
 
 
+def heis3_plus_line():
+    """Basis (X, Y, Z, W) with [X, Y] = Z; W spans an extra central line."""
+    table = [[(0,) * 4 for _ in range(4)] for _ in range(4)]
+    table[0][1] = (0, 0, 1, 0)
+    table[1][0] = (0, 0, -1, 0)
+    return LieAlgebra(table)
+
+
 def sl2():
     """Basis (e, f, h) with [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
     table = [[(0, 0, 0)] * 3 for _ in range(3)]
