@@ -123,7 +123,8 @@ class Cochain:
                 continue
             base = index[key] * m
             for j, x in enumerate(val):
-                coords[base + j] += sign * x
+                if x:
+                    coords[base + j] += sign * x
         return cls(module, degree, coords)
 
     def value(self, *idx):

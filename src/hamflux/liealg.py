@@ -19,6 +19,7 @@ from hamflux.errors import (
     Unsolvable,
 )
 from hamflux.linalg import (
+    _ZERO_ROW,
     LinearSolver,
     Matrix,
     Subspace,
@@ -38,6 +39,14 @@ from hamflux.linalg import (
 )
 
 
+class _Rows(tuple):
+    """A structure table of canonical scaled rows the library built itself:
+    _Rows(rows)[i][j] is [e_i, e_j] as in Matrix.sparse_rows. LieAlgebra
+    stores it without coercion and still checks its shape and identities."""
+
+    __slots__ = ()
+
+
 class LieAlgebra:
     """Lie algebra given by structure constants on a fixed basis.
 
@@ -45,22 +54,31 @@ class LieAlgebra:
     _sparse[i][j] is [e_i, e_j] in the form of Matrix.sparse_rows, and
     brackets and checks are integer arithmetic on it. structure[i][j], the
     dense Fraction coordinate vector of [e_i, e_j], is derived from it on
-    each call. Construction checks antisymmetry on all pairs and the Jacobi
-    identity on strictly increasing triples; with antisymmetry in hand,
-    multilinearity extends the identity from those triples to arbitrary
+    each call. A dense table is coerced and scanned into rows; the parser and
+    the extension builders pass a _Rows table, which is stored as it is.
+    Either way construction checks the shape, antisymmetry on all pairs and
+    the Jacobi identity on strictly increasing triples; with antisymmetry in
+    hand, multilinearity extends the identity from those triples to arbitrary
     arguments.
     """
 
     __slots__ = ("dim", "_sparse")
 
     def __init__(self, structure):
-        table = tuple(tuple(vector(v) for v in row) for row in structure)
-        n = len(table)
-        for row in table:
-            if len(row) != n or any(len(v) != n for v in row):
-                raise ValueError("structure table must be n x n with length-n values")
+        if isinstance(structure, _Rows):
+            rows = tuple(map(tuple, structure))
+            n = len(rows)
+            # columns increase along a row, so its last one is its largest
+            ok = all(len(r) == n and all(p[-1][0] < n for _, p in r if p) for r in rows)
+        else:
+            table = tuple(tuple(vector(v) for v in row) for row in structure)
+            n = len(table)
+            ok = all(len(r) == n and all(len(v) == n for v in r) for r in table)
+            rows = tuple(tuple(map(_sparse, row)) for row in table) if ok else ()
+        if not ok:
+            raise ValueError("structure table must be n x n with length-n values")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "_sparse", tuple(tuple(map(_sparse, row)) for row in table))
+        object.__setattr__(self, "_sparse", rows)
         self._validate()
 
     def __setattr__(self, name, value):
@@ -99,14 +117,12 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, n):
-        zero = zero_vector(n)
-        return cls(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return cls(_Rows(((_ZERO_ROW,) * n,) * n))
 
     def _coords(self, x):
-        """Scaled row of the coordinate vector x, checked to have length dim."""
-        if len(x) != self.dim:
-            raise ValueError("vector length mismatch")
-        return _sparse(x)
+        """Scaled row of the coordinate vector x; ValueError unless it has
+        length dim, TypeError if an entry is inexact."""
+        return _checked_row(x, self.dim)
 
     def _sparse_bracket(self, xs, ys):
         """Scaled row of [x, y] for scaled rows xs and ys."""
@@ -125,7 +141,7 @@ class LieAlgebra:
 
     def ad_matrix(self, x):
         """Matrix of ad(x): y -> [x, y]."""
-        xs = self._coords(vector(x))
+        xs = self._coords(x)
         cols = [self._sparse_bracket(xs, (1, ((j, 1),))) for j in range(self.dim)]
         return Matrix._from_sparse(cols, self.dim).transpose()
 
@@ -194,9 +210,7 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        if len(x) != self.algebra.dim:
-            raise ValueError("vector length mismatch")
-        return self._action_of_row(_sparse(x))
+        return self._action_of_row(_checked_row(x, self.algebra.dim))
 
     def _action_of_row(self, row):
         s, pairs = row

@@ -35,18 +35,20 @@ from hamflux.errors import (
     Unsolvable,
 )
 from hamflux.hamiltonian import hamiltonian_pair, pair_bracket
-from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule, _Rows
 from hamflux.linalg import (
+    _ZERO_ROW,
     LinearSolver,
     Matrix,
+    _concat,
+    _neg,
+    _sparse,
     hstack,
-    unit_vector,
+    sparse_lincomb,
     vec_add,
-    vec_neg,
     vec_sub,
     vector,
     vstack,
-    zero_vector,
 )
 
 
@@ -249,29 +251,35 @@ class ExtensionPresentation:
 
 def _extension_table(k, base, action, head):
     """Structure table of an extension of base by a k-dim abelian kernel, on
-    kernel coordinates followed by base coordinates: e_a sends kernel basis
-    vector i to action[a][i] (zero when action is None), and
-    [e_a, e_b] = (head(a, b), [e_a, e_b]) (zero head when head is None)."""
+    kernel coordinates followed by base coordinates, built as the canonical
+    scaled rows LieAlgebra stores: e_a sends kernel basis vector i to the row
+    action[a][i] (zero when action is None), and
+    [e_a, e_b] = (head(a, b), [e_a, e_b]), head(a, b) a row of length k
+    (zero when head is None)."""
     n = k + base.dim
-    tail, c = zero_vector(base.dim), base.structure
-    table = [[zero_vector(n)] * n for _ in range(n)]
+    c = base._sparse
+    table = [[_ZERO_ROW] * n for _ in range(n)]
     for a in range(base.dim):
         for i, w in enumerate(() if action is None else action[a]):
-            table[k + a][i] = w + tail
-            table[i][k + a] = vec_neg(w) + tail
+            table[k + a][i], table[i][k + a] = w, _neg(w)
         for b in range(base.dim):
             if a != b:
-                h = zero_vector(k) if head is None else head(a, b)
-                table[k + a][k + b] = h + c[a][b]
-    return tuple(map(tuple, table))
+                h = _ZERO_ROW if head is None else head(a, b)
+                table[k + a][k + b] = _concat((h, c[a][b]), k)
+    return _Rows(map(tuple, table))
+
+
+def _value_rows(cochain):
+    """The values of a 2-cochain, as scaled rows."""
+    return lambda a, b: _sparse(cochain.value(a, b))
 
 
 def _in_admissible(analysis, f):
-    """f with its vector values in admissible coordinates."""
+    """f with its values, scaled rows of V, as rows of admissible coordinates."""
 
     def coords(*args):
         try:
-            return analysis.admissible.coords_of(f(*args))
+            return analysis.admissible._coords_row(f(*args))
         except Unsolvable:
             raise HamfluxError(
                 "value escaped the admissible vectors; zeta image not hamiltonian"
@@ -282,13 +290,14 @@ def _in_admissible(analysis, f):
 
 def _admissible_action(analysis, zeta):
     """g acting on V_omega through zeta in admissible coordinates:
-    entry [a][i] is zeta(e_a) applied to admissible basis vector i, derived
-    once per (analysis, zeta)."""
+    entry [a][i] is the row of zeta(e_a) applied to admissible basis vector
+    i, derived once per (analysis, zeta)."""
     store = _action_store(analysis, zeta)
     if "admissible_action" not in store:
-        act, adm = _in_admissible(analysis, analysis.module.act), analysis.admissible
+        act = _in_admissible(analysis, analysis.module._act_row)
+        basis = analysis.admissible._basis_rows()
         store["admissible_action"] = tuple(
-            tuple(act(xi, v) for v in adm.basis.columns()) for xi in zeta.matrix.columns()
+            tuple(act(xi, v) for v in basis) for xi in zeta.matrix.transpose().sparse_rows
         )
     return store["admissible_action"]
 
@@ -301,7 +310,7 @@ def central_extension(momentum):
         g = momentum.g
         tau_t = obstruction_as_invariant_cochain(momentum)
         k = tau_t.module.dim
-        table = _extension_table(k, g, None, tau_t.value)
+        table = _extension_table(k, g, None, _value_rows(tau_t))
         cache["central"] = ExtensionPresentation("central", LieAlgebra(table), g, k)
     return cache["central"]
 
@@ -314,7 +323,7 @@ def abelian_extension(analysis, zeta):
         omega_g = pullback_cocycle(analysis, zeta)
         g = zeta.source
         k = analysis.admissible.dim
-        head = _in_admissible(analysis, omega_g.value)
+        head = _in_admissible(analysis, _value_rows(omega_g))
         table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
         store["abelian"] = ExtensionPresentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]
@@ -322,11 +331,11 @@ def abelian_extension(analysis, zeta):
 
 def _equivalence_columns(momentum):
     """Base columns (J(e_l) in admissible coordinates, e_l) of the
-    equivalence (v, X) -> (v + J(X), X)."""
+    equivalence (v, X) -> (v + J(X), X), as scaled rows."""
     adm = momentum.analysis.admissible
-    ng = momentum.g.dim
     return [
-        adm.coords_of(momentum.matrix.column(l)) + unit_vector(ng, l) for l in range(ng)
+        _concat((adm._coords_row(col), (1, ((l, 1),))), adm.dim)
+        for l, col in enumerate(momentum.matrix.transpose().sparse_rows)
     ]
 
 
@@ -336,15 +345,11 @@ def extension_embedding(momentum):
     analysis = momentum.analysis
     central = central_extension(momentum)
     abelian = abelian_extension(analysis, momentum.zeta)
-    inv = analysis.invariants.basis
-    tail = zero_vector(momentum.g.dim)
-    cols = [
-        analysis.admissible.coords_of(inv.column(i)) + tail
-        for i in range(central.kernel_dim)
-    ]
-    phi = Matrix.from_columns(
+    adm = analysis.admissible
+    cols = [adm._coords_row(r) for r in analysis.invariants._basis_rows()]
+    phi = Matrix._from_sparse(
         cols + _equivalence_columns(momentum), abelian.kernel_dim + momentum.g.dim
-    )
+    ).transpose()
     AlgebraHom(central.total, abelian.total, phi)  # raises if not bracket-preserving
     return phi
 
@@ -516,42 +521,41 @@ def baer_product(analysis, zeta, momentum=None):
     # semidirect sum: cen acts on V_omega through its projection to g, so
     # its V^h slots act by zero
     action = _admissible_action(analysis, zeta)
-    idle = ((zero_vector(k2),) * k2,) * k
+    idle = ((_ZERO_ROW,) * k2,) * k
     W = LieAlgebra(_extension_table(k2, cen, idle + action, None))
 
     # central antidiagonal {(incl z, -z, 0)}; V^h sits inside V_omega
-    incl = [adm.coords_of(analysis.invariants.basis.column(j)) for j in range(k)]
-    anti = [v + vec_neg(unit_vector(k, j)) + zero_vector(ng) for j, v in enumerate(incl)]
-    for v in anti:
-        for i in range(nW):
-            if not all(x == 0 for x in W.bracket(unit_vector(nW, i), v)):
-                raise HamfluxError("antidiagonal is not central")
+    incl = [adm._coords_row(r) for r in analysis.invariants._basis_rows()]
+    for j, v in enumerate(incl):
+        anti = _concat((v, (1, ((j, -1),))), k2)
+        if any(W._sparse_bracket((1, ((i, 1),)), anti)[1] for i in range(nW)):
+            raise HamfluxError("antidiagonal is not central")
 
     # The antidiagonal is central, so the bracket of two classes does not
     # depend on their representatives. The quotient map onto V_omega + g is
     # the identity on the V_omega and g slots of W and kills the antidiagonal,
     # so it sends V^h slot j to incl(e_j); that map is the only such one.
     n_final = k2 + ng
-    to_final = Matrix.from_columns(
-        [unit_vector(n_final, a) for a in range(k2)]
-        + [v + zero_vector(ng) for v in incl]
-        + [unit_vector(n_final, k2 + l) for l in range(ng)],
-        n_final,
-    )
+    unit = [(1, ((a, 1),)) for a in range(n_final)]
+    image = unit[:k2] + incl + unit[k2:]  # the row each slot of W maps to
+
+    def quotient(row):
+        s, pairs = row
+        return sparse_lincomb(((x, image[l]) for l, x in pairs), s)
+
     slots = list(range(k2)) + [k2 + k + l for l in range(ng)]
-    w = W.structure
-    total = LieAlgebra([[to_final.apply(w[a][b]) for b in slots] for a in slots])
+    w = W._sparse
+    total = LieAlgebra(_Rows(tuple(quotient(w[a][b]) for b in slots) for a in slots))
     result = ExtensionPresentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
     tau = obstruction_cocycle(momentum)
-    expected = _extension_table(k2, g, action, _in_admissible(analysis, tau.value))
-    if total.structure != expected:
+    head = _in_admissible(analysis, _value_rows(tau))
+    if total._sparse != _extension_table(k2, g, action, head):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 
     ab = abelian_extension(analysis, zeta)
-    cols = [unit_vector(n_final, i) for i in range(k2)] + _equivalence_columns(momentum)
-    psi = Matrix.from_columns(cols, n_final)
+    psi = Matrix._from_sparse(unit[:k2] + _equivalence_columns(momentum), n_final).transpose()
     AlgebraHom(total, ab.total, psi)  # equivalence is an algebra map
     if psi.rank() != n_final:
         raise HamfluxError("equivalence is not invertible")

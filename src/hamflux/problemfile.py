@@ -24,8 +24,8 @@ from math import comb
 
 from .cochain import Cochain
 from .errors import HamfluxError, ParseError, ValidationError
-from .liealg import AlgebraHom, LieAlgebra, LieModule
-from .linalg import Matrix, rat_str
+from .liealg import AlgebraHom, LieAlgebra, LieModule, _Rows
+from .linalg import _ZERO_ROW, Matrix, _gather, _neg, rat_str
 
 SCHEMA = "hamflux/1"
 
@@ -157,39 +157,50 @@ def _index(x, path, dim, what="index"):
     return i
 
 
-def _rational(x, path):
+def _ratio(x, path):
+    """(p, q) with x = p / q and q >= 1, not necessarily in lowest terms."""
     if isinstance(x, bool):
         _fail(path, "expected a rational, got a boolean")
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, float):
         _fail(path, 'floats lose exactness; write the value as a "p/q" string')
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
             _fail(path, f"malformed rational {x!r}")
+        p, _, q = x.partition("/")
         try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            _fail(path, "zero denominator")
+            p, q = int(p), int(q or 1)
         except ValueError:  # past the int/str conversion digit limit
             _fail(path, "rational has too many digits")
+        if not q:
+            _fail(path, "zero denominator")
+        return p, q
     _fail(path, "expected a rational")
 
 
-def _vector(x, path, length, what="vector"):
+def _ratios(x, path, length, what):
     row = _list(x, path)
     if len(row) != length:
         _fail(path, f"expected a {what} of length {length}, got {len(row)}")
-    return tuple(_rational(v, f"{path}[{c}]") for c, v in enumerate(row))
+    return [_ratio(v, f"{path}[{c}]") for c, v in enumerate(row)]
+
+
+def _vector(x, path, length, what="vector"):
+    return tuple(Fraction(p, q) for p, q in _ratios(x, path, length, what))
+
+
+def _row(x, path, length, what):
+    """Canonical scaled row of a vector of rationals."""
+    return _gather([(c, p, q) for c, (p, q) in enumerate(_ratios(x, path, length, what)) if p])
 
 
 def _grid(x, path, nrows, ncols):
     rows = _list(x, path)
     if len(rows) != nrows:
         _fail(path, f"expected {nrows} rows, got {len(rows)}")
-    return Matrix(
-        [_vector(row, f"{path}[{r}]", ncols, "row") for r, row in enumerate(rows)],
-        ncols,
+    return Matrix._from_sparse(
+        [_row(row, f"{path}[{r}]", ncols, "row") for r, row in enumerate(rows)], ncols
     )
 
 
@@ -208,7 +219,7 @@ def _parse_algebra(block, path, limit):
     _object(block, path)
     _known_keys(block, path, ("dim", "structure"))
     n = _dim(block, path, limit)
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    consts = {}  # (i, j) with i < j -> its (k, p, q) entries
     seen = set()
     for r, row in enumerate(_list(block.get("structure", []), f"{path}.structure")):
         here = f"{path}.structure[{r}]"
@@ -218,20 +229,24 @@ def _parse_algebra(block, path, limit):
         i = _index(entry[0], f"{here}[0]", n)
         j = _index(entry[1], f"{here}[1]", n)
         k = _index(entry[2], f"{here}[2]", n)
-        c = _rational(entry[3], f"{here}[3]")
+        p, q = _ratio(entry[3], f"{here}[3]")
         if i == j:
-            if c:
+            if p:
                 _invalid(here, "structure constant on a repeated index must vanish")
             continue
         if i > j:
-            i, j, c = j, i, -c
+            i, j, p = j, i, -p
         if (i, j, k) in seen:
             _invalid(here, f"duplicate structure entry for ({i}, {j}, {k})")
         seen.add((i, j, k))
-        table[i][j][k] = c
-        table[j][i][k] = -c
+        if p:
+            consts.setdefault((i, j), []).append((k, p, q))
+    table = [[_ZERO_ROW] * n for _ in range(n)]
+    for (i, j), entries in consts.items():
+        row = _gather(sorted(entries))
+        table[i][j], table[j][i] = row, _neg(row)
     try:
-        return LieAlgebra([[tuple(v) for v in row] for row in table])
+        return LieAlgebra(_Rows(table))
     except HamfluxError as exc:
         _invalid(path, f"{type(exc).__name__}: {exc}")
 
@@ -271,7 +286,7 @@ def _parse_omega(rows, path, module):
             _fail(here, 'expected [i, j, "p/q", component]')
         i = _index(entry[0], f"{here}[0]", n)
         j = _index(entry[1], f"{here}[1]", n)
-        c = _rational(entry[2], f"{here}[2]")
+        c = Fraction(*_ratio(entry[2], f"{here}[2]"))
         comp = _index(entry[3], f"{here}[3]", module.dim, "component")
         if i == j:
             if c:
@@ -341,10 +356,10 @@ def _parse_group_elements(rows, path, module, zeta):
 
 def _parse_generators(rows, path, algebra):
     vectors = [
-        _vector(row, f"{path}[{r}]", algebra.dim, "basis vector")
+        _row(row, f"{path}[{r}]", algebra.dim, "basis vector")
         for r, row in enumerate(_list(rows, path))
     ]
-    return Matrix.from_columns(vectors, algebra.dim)
+    return Matrix._from_sparse(vectors, algebra.dim).transpose()
 
 
 def _parse_noether(block, path, module):

@@ -21,10 +21,11 @@ from hamflux.liealg import (
     center,
     spanned_subalgebra,
     subalgebra,
+    _Rows,
 )
 from hamflux.gallery import matrix_algebra_example, random_instance
 from hamflux.hamiltonian import analyze
-from hamflux.linalg import Matrix, Subspace, unit_vector, vector
+from hamflux.linalg import Matrix, Subspace, _neg, unit_vector, vector
 from util import assert_scaled_row, heis3, sl2, solvable2
 
 
@@ -198,6 +199,25 @@ def test_dimension_zero_algebra():
     LieModule.trivial(a, 2)
 
 
+def test_tables_of_the_wrong_shape_are_rejected():
+    zero, e1 = (1, ()), (1, ((1, 1),))
+    dense = [
+        [[(0, 0), (0, 1)], [(0, -1)]],  # a short row
+        [[(0, 0), (0, 1)], [(0, -1), (0, 0, 0)]],  # a long value
+    ]
+    rows = [
+        [[zero, e1], [_neg(e1)]],
+        [[zero, (1, ((2, 1),))], [(1, ((2, -1),)), zero]],  # column 2 of a 2-dim algebra
+    ]
+    for table in dense:
+        with pytest.raises(ValueError, match="n x n"):
+            LieAlgebra(table)
+    for table in rows:
+        with pytest.raises(ValueError, match="n x n"):
+            LieAlgebra(_Rows(map(tuple, table)))
+    assert LieAlgebra(_Rows([[zero, e1], [_neg(e1), zero]])) == solvable2()
+
+
 def test_solvable2_ad():
     s = solvable2()
     assert s.ad_matrix((1, 0)) == Matrix([[0, 0], [0, 1]])
@@ -211,6 +231,24 @@ def test_bracket_rejects_wrong_length():
         g.bracket((1, 0, 0, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError):
         g.bracket((1, 0, 0), (0, 1, 0, 0, 0))
+
+
+def test_inexact_entries_raise_type_error():
+    g = sl2()
+    module = adjoint_module(g)
+    x, e = (0.5, 0, 0), (1, 0, 0)
+    calls = [
+        lambda: g.bracket(x, e),
+        lambda: g.bracket(e, x),
+        lambda: g.bracket_with_basis(x, 1),
+        lambda: g.ad_matrix(x),
+        lambda: module.action_of(x),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="not an exact rational"):
+            call()
+    with pytest.raises(ValueError):
+        module.action_of((1, 0))
 
 
 # -- sparse structure constants against dense references --------------------------

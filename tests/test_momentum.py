@@ -8,6 +8,7 @@ instance with omega = -bracket has J = identity, which is already
 equivariant, so every obstruction-level object collapses.
 """
 
+from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
@@ -17,19 +18,24 @@ from hypothesis import strategies as st
 import hamflux.momentum
 from hamflux.cochain import Cochain, CohomologySpace, differential_matrix
 from hamflux.errors import (
+    AntisymmetryViolation,
     HamfluxError,
     ImageNotHamiltonian,
     InvariantViolation,
+    JacobiViolation,
     NotPrimitive,
     Unsolvable,
 )
 from hamflux.hamiltonian import analyze
 from hamflux.gallery import from_central_extension, matrix_algebra_example, random_instance
-from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule, _Rows
 from hamflux.linalg import (
+    _ZERO_ROW,
     LinearSolver,
     Matrix,
     Subspace,
+    _dense,
+    _sparse,
     kernel_basis,
     unit_vector,
     vec_neg,
@@ -51,7 +57,14 @@ from hamflux.momentum import (
     solve_momentum,
 )
 
-from util import heis3, heis_pair_instance, sl2, sl2_adjoint_instance, solvable2
+from util import (
+    assert_scaled_row,
+    heis3,
+    heis_pair_instance,
+    sl2,
+    sl2_adjoint_instance,
+    solvable2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -348,15 +361,16 @@ def test_derived_once_per_action(monkeypatch):
     equivariantize(momentum)
     central_extension(momentum)
     # the admissible action is derived once for the abelian table, W and the
-    # tau check together: one act per (basis element of g, admissible vector)
+    # tau check together: one run of the act kernel per (basis element of g,
+    # admissible vector)
     acts = []
-    act = type(module).act
+    act_row = type(module)._act_row
 
-    def counting_act(self, x, v):
-        acts.append(x)
-        return act(self, x, v)
+    def counting_act(self, xs, vs):
+        acts.append(xs)
+        return act_row(self, xs, vs)
 
-    monkeypatch.setattr(type(module), "act", counting_act)
+    monkeypatch.setattr(type(module), "_act_row", counting_act)
     abelian_extension(analysis, zeta)
     baer_product(analysis, zeta, momentum=momentum)
     assert len(acts) == module.algebra.dim * analysis.admissible.dim
@@ -565,3 +579,156 @@ def test_equivariantize_central_extension_instances(extra, z, k, dim, success):
     assert result.success is success
     assert result.cohomology_dim == dim
     assert result_fields(result) == reference_equivariantize(momentum)
+
+
+# -- extension tables built as rows against the dense formula ----------------------
+
+def dense_extension_table(k, base, action, head):
+    """The dense table of an extension of base by a k-dim abelian kernel:
+    e_a sends kernel vector i to action[a][i] (none when action is None),
+    and [e_a, e_b] = (head(a, b), [e_a, e_b]) (zero head when head is None)."""
+    n = k + base.dim
+    tail, c = (F(0),) * base.dim, base.structure
+    table = [[(F(0),) * n] * n for _ in range(n)]
+    for a in range(base.dim):
+        for i, w in enumerate(() if action is None else action[a]):
+            table[k + a][i] = tuple(w) + tail
+            table[i][k + a] = vec_neg(w) + tail
+        for b in range(base.dim):
+            if a != b:
+                h = (F(0),) * k if head is None else tuple(head(a, b))
+                table[k + a][k + b] = h + c[a][b]
+    return tuple(map(tuple, table))
+
+
+def dense_tables(analysis, zeta, momentum):
+    """{name: dense table} of the central, abelian, W and Baer algebras,
+    each from its defining formula with Fraction vectors throughout."""
+    g, adm, inv = zeta.source, analysis.admissible, analysis.invariants
+    k, k2, ng = inv.dim, adm.dim, zeta.source.dim
+    action = [
+        [adm.coords_of(analysis.module.act(xi, v)) for v in adm.basis.columns()]
+        for xi in zeta.matrix.columns()
+    ]
+    tau = obstruction_cocycle(momentum)
+    omega_g = pullback_cocycle(analysis, zeta)
+    out = {
+        "central": dense_extension_table(k, g, None, lambda a, b: inv.coords_of(tau.value(a, b))),
+        "abelian": dense_extension_table(
+            k2, g, action, lambda a, b: adm.coords_of(omega_g.value(a, b))
+        ),
+    }
+    idle = [[(F(0),) * k2] * k2] * k
+    w = out["W"] = dense_extension_table(k2, LieAlgebra(out["central"]), idle + action, None)
+    # the quotient of W onto V_omega + g, V^h slot j sent to its admissible
+    # coordinates, as a dense matrix applied to each constant
+    n = k2 + ng
+    to_final = Matrix.from_columns(
+        [unit_vector(n, a) for a in range(k2)]
+        + [adm.coords_of(v) + (F(0),) * ng for v in inv.basis.columns()]
+        + [unit_vector(n, k2 + l) for l in range(ng)],
+        n,
+    )
+    slots = list(range(k2)) + [k2 + k + l for l in range(ng)]
+    out["baer"] = tuple(tuple(to_final.apply(w[a][b]) for b in slots) for a in slots)
+    return out
+
+
+EXTENSION_INSTANCES = [
+    "heis_pair",
+    "sl2_adjoint",
+    "gl2",
+    "heis3_central",
+    ("random", (5, 3), 11),
+    ("random", (5, 3), 26),
+    ("random", (3, 5), 15),
+    ("random", (3, 5), 20),
+]
+
+
+@lru_cache(maxsize=None)
+def extension_instance(name):
+    """(analysis, zeta, momentum, row-built algebras by name) on an instance
+    with a nontrivial ham."""
+    if name in ("heis_pair", "sl2_adjoint"):
+        module, omega = (heis_pair_instance if name == "heis_pair" else sl2_adjoint_instance)()
+        zeta = AlgebraHom.identity(module.algebra)
+    else:
+        if name == "gl2":
+            bundle = matrix_algebra_example(2)
+        elif name == "heis3_central":
+            bundle = from_central_extension(heis3(), Subspace.zero(3))
+        else:
+            bundle = random_instance(name[1], name[2])
+        module, omega, zeta = bundle.module, bundle.omega, bundle.zeta
+    assert zeta.source.dim > 0
+    analysis = analyze(module, omega)
+    momentum, _ = solve_momentum(analysis, zeta)
+    cen = central_extension(momentum).total
+    k2 = analysis.admissible.dim
+    idle = ((_ZERO_ROW,) * k2,) * analysis.invariants.dim
+    action = hamflux.momentum._admissible_action(analysis, zeta)
+    rows = {
+        "central": cen,
+        "abelian": abelian_extension(analysis, zeta).total,
+        "W": LieAlgebra(hamflux.momentum._extension_table(k2, cen, idle + action, None)),
+        "baer": baer_product(analysis, zeta, momentum=momentum).extension.total,
+    }
+    return analysis, zeta, momentum, rows
+
+
+@pytest.mark.parametrize("name", EXTENSION_INSTANCES)
+def test_row_built_extension_tables_equal_the_dense_formula(name):
+    analysis, zeta, momentum, rows = extension_instance(name)
+    dense = dense_tables(analysis, zeta, momentum)
+    for kind, algebra in rows.items():
+        assert algebra.structure == dense[kind], kind
+        assert algebra == LieAlgebra(dense[kind]), kind
+        for row in algebra._sparse:
+            for r in row:
+                assert_scaled_row(r, algebra.dim)
+
+
+def violation(table):
+    """(class, indices, witness, message) of the check that rejects the
+    table, or None when it is a Lie algebra."""
+    try:
+        LieAlgebra(table)
+    except (AntisymmetryViolation, JacobiViolation) as exc:
+        witness = exc.value if isinstance(exc, AntisymmetryViolation) else exc.residual
+        return type(exc), exc.indices, witness, str(exc)
+    return None
+
+
+# derandomized, so every run tries the same corruptions
+@pytest.mark.parametrize("name", EXTENSION_INSTANCES)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupted_row_tables_fail_like_dense_tables(name, data):
+    algebra = data.draw(st.sampled_from(sorted(extension_instance(name)[3].items())))[1]
+    n = algebra.dim
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    nums = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    value = tuple(F(x, data.draw(st.integers(1, 3))) for x in nums)
+    # one entry, or one pair kept antisymmetric so that Jacobi decides
+    paired = i != j and data.draw(st.booleans())
+    rows = [list(row) for row in algebra._sparse]
+    dense = [list(row) for row in algebra.structure]
+    rows[i][j], dense[i][j] = _sparse(value), value
+    if paired:
+        rows[j][i], dense[j][i] = _sparse(vec_neg(value)), vec_neg(value)
+    got = violation(_Rows(map(tuple, rows)))
+    assert got == violation(dense)
+    if not paired and value != algebra.structure[i][j]:
+        assert got[0] is AntisymmetryViolation
+
+
+def test_corrupted_row_table_names_the_jacobi_triple():
+    # the heis pair's central extension is heis3 on (z, x, y), [x, y] = z;
+    # setting [x, z] = x breaks Jacobi on (x, y, z) with residual -z
+    rows = [list(row) for row in extension_instance("heis_pair")[3]["central"]._sparse]
+    rows[1][0], rows[0][1] = (1, ((1, 1),)), (1, ((1, -1),))
+    got = violation(_Rows(map(tuple, rows)))
+    dense = [[_dense(r, 3) for r in row] for row in rows]
+    assert got == violation(dense)
+    assert got[:3] == (JacobiViolation, (0, 1, 2), (-1, 0, 0))

@@ -8,6 +8,8 @@ import pytest
 
 from hamflux.errors import ParseError, ValidationError
 from hamflux.gallery import matrix_algebra_example
+from hamflux.liealg import LieAlgebra
+from hamflux.linalg import Matrix
 from hamflux.problemfile import (
     ProblemFile,
     parse_problem,
@@ -15,6 +17,7 @@ from hamflux.problemfile import (
     render_json,
     serialize_problem,
 )
+from util import assert_scaled_row
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,3 +273,100 @@ def test_render_json_keeps_leaf_arrays_inline():
     assert '["1", "0"]' in text
     assert text.endswith("}\n")
     assert json.loads(text) == {"rows": [["1", "0"], ["0", "1"]], "n": 2}
+
+
+# -- parsed rows against the dense constructors ----------------------------------
+
+UNREDUCED = json.dumps({
+    "schema": "hamflux/1",
+    "lie_algebra": {"dim": 3, "structure": [[1, 0, 2, "-2/2"], [2, 0, 2, "0/5"]]},
+    "module": {
+        "dim": 2,
+        "action": [
+            [["0", "-0"], ["0", 0]],
+            [["0", "0"], ["0", "0/3"]],
+            [["0", "0"], ["0", "0"]],
+        ],
+    },
+    "omega": [[0, 1, "6/4", 1]],
+    "zeta": {
+        "g_algebra": {"dim": 2, "structure": [[1, 0, 1, "-4/6"]]},
+        "matrix": [["0", "0"], ["0", "0"], ["0", "0"]],
+    },
+    "momentum": [["6/4", -3], ["-1/3", "10/15"]],
+    "group_elements": [
+        {"label": "g", "ad": [["2/2", "0"], ["-4/8", 1]], "rho_v": [[1, "0"], ["3/9", "1"]]}
+    ],
+    "noether": {"commuting": {"g1": [["2/4", "0", "-6/4"]], "g2": [[0, 0, "9/3"]]}},
+})
+
+
+def dense_algebra(block):
+    n = block["dim"]
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in block.get("structure", []):
+        if i != j:
+            table[i][j][k], table[j][i][k] = F(c), -F(c)
+    return LieAlgebra(table)
+
+
+def parsed_and_dense(pf, d):
+    """(parsed, dense reference) pairs of every algebra and matrix of a
+    document, the references built by LieAlgebra(dense) and Matrix(dense)."""
+    algebras = [(pf.algebra, dense_algebra(d["lie_algebra"]))]
+    matrices = []
+    if "module" in d:
+        matrices += zip(pf.module.action, [Matrix(a, pf.module.dim) for a in d["module"]["action"]])
+    if "zeta" in d:
+        z = d["zeta"]
+        grid = z if isinstance(z, list) else z["matrix"]
+        matrices.append((pf.zeta.matrix, Matrix(grid, pf.zeta.source.dim)))
+        if isinstance(z, dict) and "g_algebra" in z:
+            algebras.append((pf.zeta.source, dense_algebra(z["g_algebra"])))
+    if "momentum" in d:
+        matrices.append((pf.momentum, Matrix(d["momentum"], pf.momentum.ncols)))
+    for e, block in zip(pf.group_elements, d.get("group_elements", [])):
+        matrices += [(e.ad, Matrix(block["ad"])), (e.rho_v, Matrix(block["rho_v"]))]
+    com = d.get("noether", {}).get("commuting")
+    if com is not None:
+        n = pf.algebra.dim
+        matrices += [
+            (pf.noether.commuting.g1, Matrix.from_columns(com["g1"], n)),
+            (pf.noether.commuting.g2, Matrix.from_columns(com["g2"], n)),
+        ]
+    return algebras, matrices
+
+
+PARSED_DOCUMENTS = [name for name in FIXTURES] + ["sl3", "unreduced"]
+
+
+@pytest.mark.parametrize("name", PARSED_DOCUMENTS)
+def test_parsed_rows_are_canonical_and_equal_the_dense_build(name):
+    if name == "sl3":
+        bundle = matrix_algebra_example(3)
+        text = problem_to_text(ProblemFile.from_parts(bundle.module, bundle.omega, bundle.zeta))
+    elif name == "unreduced":
+        text = UNREDUCED
+    else:
+        text = (DATA / name).read_text()
+    pf = parse_problem(text)
+    algebras, matrices = parsed_and_dense(pf, json.loads(text))
+    for parsed, dense in algebras:
+        assert parsed._sparse == dense._sparse
+        for row in parsed._sparse:
+            for r in row:
+                assert_scaled_row(r, parsed.dim)
+    for parsed, dense in matrices:
+        assert (parsed.nrows, parsed.ncols) == (dense.nrows, dense.ncols)
+        assert parsed.sparse_rows == dense.sparse_rows
+        for r in parsed.sparse_rows:
+            assert_scaled_row(r, parsed.ncols)
+
+
+def test_unreduced_rationals_parse_to_their_values():
+    pf = parse_problem(UNREDUCED)
+    assert pf.algebra.structure[0][1] == (0, 0, 1)
+    assert pf.algebra.structure[0][2] == (0, 0, 0)
+    assert pf.zeta.source.structure[0][1] == (0, F(2, 3))
+    assert pf.momentum.sparse_rows == ((2, ((0, 3), (1, -6))), (3, ((0, -1), (1, 2))))
+    assert pf.omega.value(0, 1) == (0, F(3, 2))
