@@ -347,6 +347,9 @@ def main(argv=None):
                 text = fh.read()
         except OSError as exc:
             raise ParseError(args.file, exc.strerror or str(exc)) from None
+        except UnicodeDecodeError as exc:
+            msg = f"document is not UTF-8 text: invalid byte at offset {exc.start}"
+            raise ParseError("$", msg) from None
         pf = parse_problem(text)
         out = args.func(pf, args)
     except (ParseError, ValidationError) as exc:

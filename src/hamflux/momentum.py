@@ -25,6 +25,7 @@ from hamflux.cochain import (
     differential,
     differential_matrix,
     lie_derivative,
+    tuple_basis,
 )
 from hamflux.errors import (
     BracketViolation,
@@ -41,12 +42,12 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     _concat,
+    _dense,
     _neg,
     _sparse,
     hstack,
     sparse_lincomb,
     vec_add,
-    vec_sub,
     vector,
     vstack,
 )
@@ -157,48 +158,42 @@ def obstruction_cocycle(momentum):
     """
     cache = momentum._cache
     if "tau" not in cache:
-        cache["tau"], cache["tau_coords"] = _derive_tau(momentum)
+        cache["tau"], cache["tau_rows"], cache["tau_coords"] = _derive_tau(momentum)
     return cache["tau"]
 
 
+def _tau_rows(momentum):
+    """(values, V^h coordinates) of tau on increasing pairs, as scaled rows."""
+    if "tau" not in momentum._cache:
+        obstruction_cocycle(momentum)
+    return momentum._cache["tau_rows"], momentum._cache["tau_coords"]
+
+
 def _derive_tau(momentum):
-    analysis = momentum.analysis
-    zeta = momentum.zeta
-    g = zeta.source
-    omega_g = pullback_cocycle(analysis, zeta)
-    pb = omega_g.module
-    J = momentum.matrix
-    z, j_cols, c = zeta.matrix.columns(), J.columns(), g.structure
-
-    def tau_value(i, j):
-        return vec_sub(analysis.module.act(z[i], j_cols[j]), J.apply(c[i][j]))
-
-    tau = Cochain.from_values(pb, 2, tau_value)
-    coords = []  # V^h coordinates of the values, in increasing (i, j) order
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            try:
-                coords.extend(analysis.invariants.coords_of(tau.value(i, j)))
-            except Unsolvable:
-                raise HamfluxError("obstruction value escaped the invariants") from None
+    analysis, g, module = momentum.analysis, momentum.g, momentum.analysis.module
+    omega_g = pullback_cocycle(analysis, momentum.zeta)
+    z = momentum.zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
+    J = momentum.matrix.transpose().sparse_rows  # row j is J(e_j)
+    pairs, _ = tuple_basis(g.dim, 2)
+    rows, coords = [], []
+    for i, j in pairs:
+        # e_i . J(e_j) - J([e_i, e_j]), all over the scale of the bracket
+        s, bracket = g._sparse[i][j]
+        terms = [(s, module._act_row(z[i], J[j]))] + [(-c, J[l]) for l, c in bracket]
+        rows.append(sparse_lincomb(terms, s))
+        try:
+            coords.append(analysis.invariants._coords_row(rows[-1]))
+        except Unsolvable:
+            raise HamfluxError("obstruction value escaped the invariants") from None
+    tau = Cochain(omega_g.module, 2, [x for r in rows for x in _dense(r, module.dim)])
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
-    j_cochain = Cochain(pb, 1, tuple(x for col in j_cols for x in col))
-    if tau != differential(j_cochain) + omega_g:
-        raise HamfluxError("tau != d J + omega_g; inconsistent data")
-    return tau, coords
-
-
-def obstruction_as_invariant_cochain(momentum):
-    """tau rewritten over the trivial g-module on V^h coordinates, once per
-    momentum map."""
-    cache = momentum._cache
-    if "tau_invariant" not in cache:
-        obstruction_cocycle(momentum)
-        # g acting trivially on V^h coordinates
-        triv = LieModule.trivial(momentum.g, momentum.analysis.invariants.dim)
-        cache["tau_invariant"] = Cochain(triv, 2, cache["tau_coords"])
-    return cache["tau_invariant"]
+    # d J(e_i, e_j) = tau(e_i, e_j) - e_j . J(e_i), so tau = d J + omega_g
+    # exactly when e_j . J(e_i) = omega_g(e_i, e_j)
+    for i, j in pairs:
+        if module._act_row(z[j], J[i]) != _sparse(omega_g.value(i, j)):
+            raise HamfluxError("tau != d J + omega_g; inconsistent data")
+    return tau, tuple(rows), tuple(coords)
 
 
 # -- extensions ----------------------------------------------------------------
@@ -269,9 +264,11 @@ def _extension_table(k, base, action, head):
     return _Rows(map(tuple, table))
 
 
-def _value_rows(cochain):
-    """The values of a 2-cochain, as scaled rows."""
-    return lambda a, b: _sparse(cochain.value(a, b))
+def _pair_rows(rows, n):
+    """The values of a 2-cochain on n basis vectors from its scaled rows on
+    increasing pairs, for a != b."""
+    _, index = tuple_basis(n, 2)
+    return lambda a, b: rows[index[a, b]] if a < b else _neg(rows[index[b, a]])
 
 
 def _in_admissible(analysis, f):
@@ -308,9 +305,8 @@ def central_extension(momentum):
     cache = momentum._cache
     if "central" not in cache:
         g = momentum.g
-        tau_t = obstruction_as_invariant_cochain(momentum)
-        k = tau_t.module.dim
-        table = _extension_table(k, g, None, _value_rows(tau_t))
+        k = momentum.analysis.invariants.dim
+        table = _extension_table(k, g, None, _pair_rows(_tau_rows(momentum)[1], g.dim))
         cache["central"] = ExtensionPresentation("central", LieAlgebra(table), g, k)
     return cache["central"]
 
@@ -323,7 +319,7 @@ def abelian_extension(analysis, zeta):
         omega_g = pullback_cocycle(analysis, zeta)
         g = zeta.source
         k = analysis.admissible.dim
-        head = _in_admissible(analysis, _value_rows(omega_g))
+        head = _in_admissible(analysis, lambda a, b: _sparse(omega_g.value(a, b)))
         table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
         store["abelian"] = ExtensionPresentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]
@@ -381,11 +377,11 @@ def equivariantize(momentum):
     analysis = momentum.analysis
     inv = analysis.invariants
     k = inv.dim
-    # cochain coordinates are tuple-major, so component a is tau[a::k]
-    tau = obstruction_as_invariant_cochain(momentum).coords
+    # component a of tau is entry a of its V^h coordinates on every pair
+    coords = [_dense(r, k) for r in _tau_rows(momentum)[1]]
     scalar = LieModule.trivial(momentum.g, 1)
     h2 = cohomology(scalar, 2)
-    parts = [Cochain(scalar, 2, tau[a::k]) for a in range(k)]
+    parts = [Cochain(scalar, 2, [v[a] for v in coords]) for a in range(k)]
     cls = tuple(x for xs in zip(*map(h2.class_of, parts)) for x in xs)
     solver = LinearSolver(differential_matrix(scalar, 1))
     try:
@@ -440,12 +436,11 @@ def coboundary_trivialization(momentum, alpha):
         cols.append(f)
     f_mat = Matrix.from_columns(cols, analysis.module.dim)
     # tau = d f for the trivial action: tau(X,Y) = -f([X,Y])
-    tau, c = obstruction_cocycle(momentum), g.structure
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            expected = tuple(-x for x in f_mat.apply(c[i][j]))
-            if tau.value(i, j) != expected:
-                raise HamfluxError("tau != d f in the exact case")
+    f_rows = f_mat.transpose().sparse_rows
+    for (i, j), row in zip(tuple_basis(g.dim, 2)[0], _tau_rows(momentum)[0]):
+        s, bracket = g._sparse[i][j]
+        if row != sparse_lincomb(((-c, f_rows[l]) for l, c in bracket), s):
+            raise HamfluxError("tau != d f in the exact case")
     return f_mat
 
 
@@ -549,8 +544,7 @@ def baer_product(analysis, zeta, momentum=None):
     result = ExtensionPresentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
-    tau = obstruction_cocycle(momentum)
-    head = _in_admissible(analysis, _value_rows(tau))
+    head = _in_admissible(analysis, _pair_rows(_tau_rows(momentum)[0], ng))
     if total._sparse != _extension_table(k2, g, action, head):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 

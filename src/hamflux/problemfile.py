@@ -35,10 +35,11 @@ SCHEMA = "hamflux/1"
 # extension `extend` emits (dim g + at most the module's dim) parses again.
 # C(n,3)*m, the row count of the degree-2 differential (stored as sparse rows)
 # of an n-dim algebra on an m-dim module, is at most MAX_DIFFERENTIAL_ROWS:
-# 8960 x 1920 at n = m = 16. That bounds size, not time. At those limits, on
-# an abelian algebra with a trivial module, zero omega and identity zeta, each
-# of `analyze`, `momentum` and `extend` takes 0.3 to 0.6 s and at most 21 MB
-# on a 2-vCPU host, process start included; `momentum` never eliminates the
+# 8960 x 1920 at n = m = 16. That bounds row counts, not time or memory,
+# since entries are exact rationals of any length. With unit entries at those
+# limits (abelian algebra, trivial module, zero omega, identity zeta), each of
+# `analyze`, `momentum` and `extend` takes 0.3 to 0.6 s and at most 21 MB on a
+# 2-vCPU host, process start included; `momentum` never eliminates the
 # full differential, since equivariantize works in the scalar complex of g,
 # and its largest elimination is the 2176 x 32 one of the analysis.
 MAX_DIM = 16

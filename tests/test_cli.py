@@ -240,6 +240,7 @@ def _heis3_zeta_source_dim(dim):
         (_heis3_zeta_source_dim(MAX_DIM + 1), "$.zeta.g_algebra.dim"),
         (_document(lie_algebra={"dim": MAX_DIM + 1}, zeta=_zeros(MAX_DIM + 1)),
          "$.zeta"),
+        (b"\xff" + _document().encode(), "$"),
     ],
     ids=[
         "long-rational",
@@ -253,11 +254,12 @@ def _heis3_zeta_source_dim(dim):
         "huge-zeta-source-dim",
         "zeta-source-dim-past-limit",
         "zeta-through-algebra-past-limit",
+        "not-utf-8",
     ],
 )
 def test_hostile_document_exits_2(capsys, tmp_path, text, path):
     doc = tmp_path / "hostile.json"
-    doc.write_text(text, encoding="utf-8")
+    doc.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code, out, err = run(capsys, "validate", doc)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ")

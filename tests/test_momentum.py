@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamflux.momentum
-from hamflux.cochain import Cochain, CohomologySpace, differential_matrix
+from hamflux.cochain import (
+    Cochain,
+    CohomologySpace,
+    differential,
+    differential_matrix,
+    tuple_basis,
+)
 from hamflux.errors import (
     AntisymmetryViolation,
     HamfluxError,
@@ -34,11 +40,13 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
+    _concat,
     _dense,
     _sparse,
     kernel_basis,
     unit_vector,
     vec_neg,
+    vec_sub,
 )
 from hamflux.momentum import (
     ExtensionPresentation,
@@ -51,7 +59,6 @@ from hamflux.momentum import (
     equivariantize,
     extended_momentum,
     extension_embedding,
-    obstruction_as_invariant_cochain,
     obstruction_cocycle,
     pullback_cocycle,
     solve_momentum,
@@ -106,8 +113,9 @@ def test_heis_obstruction_cocycle(heis):
     tau = obstruction_cocycle(momentum)
     assert tau.value(0, 1) == (0, 0, 1)
     assert tau.value(1, 0) == (0, 0, -1)
-    tau_t = obstruction_as_invariant_cochain(momentum)
-    assert tau_t.coords == (1,)
+    # one pair, (0, 1): the value Z and its V^h coordinate 1
+    assert momentum._cache["tau_rows"] == ((1, ((2, 1),)),)
+    assert momentum._cache["tau_coords"] == ((1, ((0, 1),)),)
 
 
 def test_heis_central_extension_is_heisenberg(heis):
@@ -406,11 +414,11 @@ def test_baer_product_checks_the_tau_cocycle(monkeypatch):
     analysis = analyze(module, omega)
     zeta = AlgebraHom.identity(module.algebra)
     momentum, _ = solve_momentum(analysis, zeta)
-    tau = obstruction_cocycle(momentum)
-    assert not tau.is_zero()
+    assert not obstruction_cocycle(momentum).is_zero()
     central_extension(momentum)
     # the quotient carries the true tau, the check now expects zero
-    monkeypatch.setitem(momentum._cache, "tau", Cochain.zero(tau.module, 2))
+    zero = (_ZERO_ROW,) * len(momentum._cache["tau_rows"])
+    monkeypatch.setitem(momentum._cache, "tau_rows", zero)
     with pytest.raises(HamfluxError) as err:
         baer_product(analysis, zeta, momentum=momentum)
     assert type(err.value) is HamfluxError
@@ -429,19 +437,24 @@ def test_invariant_tau_reuses_the_coordinates_of_the_check(name, monkeypatch):
     momentum, _ = solve_momentum(analysis, zeta)
     tau = obstruction_cocycle(momentum)
     inv = analysis.invariants
-    # tau rewritten on V^h coordinates by solving each value again
-    triv = LieModule.trivial(momentum.g, inv.dim)
-    expected = Cochain.from_values(triv, 2, lambda i, j: inv.coords_of(tau.value(i, j)))
+    # the V^h coordinates of tau, solved again from each value
+    pairs, _ = tuple_basis(momentum.g.dim, 2)
+    expected = tuple(_sparse(inv.coords_of(tau.value(i, j))) for i, j in pairs)
+    assert momentum._cache["tau_coords"] == expected
     solves = []
-    coords_of = Subspace.coords_of
+    coords_row = Subspace._coords_row
 
-    def counting(self, v):
-        solves.append(v)
-        return coords_of(self, v)
+    def counting(self, row):
+        solves.append(row)
+        return coords_row(self, row)
 
-    monkeypatch.setattr(Subspace, "coords_of", counting)
-    assert obstruction_as_invariant_cochain(momentum) == expected
+    monkeypatch.setattr(Subspace, "_coords_row", counting)
+    # the central table reads its head off the stored coordinates
+    central = central_extension(momentum).total
     assert solves == []
+    k = inv.dim
+    for (i, j), row in zip(pairs, expected):
+        assert central._sparse[k + i][k + j] == _concat((row, momentum.g._sparse[i][j]), k)
 
 
 def test_tau_values_outside_the_invariants_raise(monkeypatch):
@@ -456,6 +469,78 @@ def test_tau_values_outside_the_invariants_raise(monkeypatch):
     assert str(err.value) == "obstruction value escaped the invariants"
 
 
+# -- each tau self-check, reached by breaking one derived object ----------------------
+
+def exact_tau_instance():
+    """A momentum map over heis3 whose obstruction is tau = d c != 0 in
+    C^2(heis3, Q), c = e^2: tau(e_0, e_1) = -1, so equivariantize succeeds."""
+    triv = LieModule.trivial(heis3(), 1)
+    momentum = tau_instance(triv.algebra, differential(Cochain(triv, 1, (0, 0, 1))))
+    assert not obstruction_cocycle(momentum).is_zero()
+    return momentum
+
+
+def fresh(momentum):
+    """The same momentum map with nothing derived from it yet."""
+    return MomentumMap(momentum.analysis, momentum.zeta, momentum.matrix)
+
+
+def double_the_stored_tau_coords(momentum, monkeypatch):
+    """Scale the stored V^h coordinates of tau by 2."""
+    obstruction_cocycle(momentum)
+    k = momentum.analysis.invariants.dim
+    coords = momentum._cache["tau_coords"]
+    doubled = tuple(_sparse(tuple(2 * x for x in _dense(r, k))) for r in coords)
+    monkeypatch.setitem(momentum._cache, "tau_coords", doubled)
+
+
+def assert_check_fails(fn, arg, message):
+    with pytest.raises(HamfluxError) as err:
+        fn(arg)
+    assert type(err.value) is HamfluxError
+    assert str(err.value) == message
+
+
+def test_tau_closedness_is_checked(monkeypatch):
+    momentum = exact_tau_instance()
+    tau = obstruction_cocycle(momentum)
+    # a degree-2 differential of the pullback module whose first row pairs
+    # with tau to |tau|^2 != 0
+    d2 = differential_matrix(tau.module, 2)
+    broken = Matrix([tau.coords] + [(0,) * d2.ncols] * (d2.nrows - 1))
+    monkeypatch.setitem(tau.module._cache, ("dmat", 2), broken)
+    assert_check_fails(obstruction_cocycle, fresh(momentum), "obstruction cocycle is not closed")
+
+
+def test_tau_is_checked_against_d_j_plus_omega_g(monkeypatch):
+    momentum = exact_tau_instance()
+    store = hamflux.momentum._action_store(momentum.analysis, momentum.zeta)
+    monkeypatch.setitem(store, "omega_g", 2 * store["omega_g"])
+    assert_check_fails(
+        obstruction_cocycle, fresh(momentum), "tau != d J + omega_g; inconsistent data"
+    )
+
+
+def test_equivariantize_checks_the_corrected_map(monkeypatch):
+    momentum = exact_tau_instance()
+    assert equivariantize(fresh(momentum)).success
+    # the shift solves d c = 2 tau, so the corrected map has obstruction -tau
+    double_the_stored_tau_coords(momentum, monkeypatch)
+    assert_check_fails(
+        equivariantize, momentum, "equivariantization failed to kill the obstruction"
+    )
+
+
+def test_extended_momentum_checks_equivariance(monkeypatch):
+    momentum = exact_tau_instance()
+    extended_momentum(fresh(momentum))
+    # the central extension carries 2 tau, so hat J has obstruction -tau
+    double_the_stored_tau_coords(momentum, monkeypatch)
+    assert_check_fails(
+        extended_momentum, momentum, "extended momentum map failed equivariance"
+    )
+
+
 # -- equivariantize against the k-fold trivial complex ---------------------------
 
 def reference_equivariantize(momentum):
@@ -464,17 +549,35 @@ def reference_equivariantize(momentum):
     analysis, g = momentum.analysis, momentum.g
     inv = analysis.invariants
     k = inv.dim
-    tau = obstruction_as_invariant_cochain(momentum)
+    tau = obstruction_cocycle(momentum)
+    pairs, _ = tuple_basis(g.dim, 2)
+    coords = [x for i, j in pairs for x in inv.coords_of(tau.value(i, j))]
     triv = LieModule.trivial(g, k)
     h2 = CohomologySpace(triv, 2)
-    cls = tuple(h2.class_of(Cochain(triv, 2, tau.coords)))
+    cls = tuple(h2.class_of(Cochain(triv, 2, coords)))
     try:
-        c = LinearSolver(differential_matrix(triv, 1)).solve(tau.coords)
+        c = LinearSolver(differential_matrix(triv, 1)).solve(coords)
     except Unsolvable:
         return None, None, cls, h2.dim
     cols = [inv.basis.apply(c[l * k : (l + 1) * k]) for l in range(g.dim)]
     shift = Matrix.from_columns(cols, analysis.module.dim)
     return momentum.matrix - shift, shift, cls, h2.dim
+
+
+def assert_tau_matches_the_dense_formula(momentum):
+    """tau's values and its stored rows against X.J(Y) - J([X, Y]), and its
+    stored V^h coordinates against invariants.coords_of of those values."""
+    analysis, g, J = momentum.analysis, momentum.g, momentum.matrix
+    tau = obstruction_cocycle(momentum)
+    rows, coords = momentum._cache["tau_rows"], momentum._cache["tau_coords"]
+    pairs, _ = tuple_basis(g.dim, 2)
+    assert len(rows) == len(coords) == len(pairs)
+    for p, (i, j) in enumerate(pairs):
+        x_j = analysis.module.act(momentum.zeta.matrix.column(i), J.column(j))
+        value = vec_sub(x_j, J.apply(g.structure[i][j]))
+        assert tau.value(i, j) == value
+        assert rows[p] == _sparse(value)
+        assert coords[p] == _sparse(analysis.invariants.coords_of(value))
 
 
 def result_fields(result):
@@ -532,12 +635,20 @@ def test_equivariantize_matches_the_k_fold_complex(i, k, exact, data):
         a = data.draw(st.lists(st.integers(-2, 2), min_size=closed.ncols, max_size=closed.ncols))
         coords = closed.apply(a)
     momentum = tau_instance(g, Cochain(triv, 2, coords))
+    assert_tau_matches_the_dense_formula(momentum)
     result = equivariantize(momentum)
     expected = reference_equivariantize(momentum)
     assert result_fields(result) == expected
     assert result.success == (expected[1] is not None)
     if exact:
         assert result.success
+
+
+@pytest.mark.parametrize("name", ["heis_pair", "sl2_adjoint", "gl2", "heis3_central"])
+def test_tau_rows_equal_the_dense_formula(name):
+    momentum = extension_instance(name)[2]
+    assert momentum.g.dim >= 2
+    assert_tau_matches_the_dense_formula(momentum)
 
 
 def test_equivariantize_lists_the_class_index_major():
