@@ -7,7 +7,6 @@ Every subalgebra is presented by spanned_subalgebra, on an ordered list of
 generators; subalgebra is that builder on a subspace's canonical basis.
 """
 
-from itertools import chain
 from math import lcm
 
 from hamflux.errors import (
@@ -99,20 +98,21 @@ class LieAlgebra:
                 if s[i][j] != _neg(s[j][i]):
                     c = self.structure  # dense values only for the message
                     raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
-        # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k]
+        # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k], times
+        # the product of the three bracket scales, over the terms whose row
+        # is nonzero; a triple with no such term, such as one of three zero
+        # brackets, sums to zero
         for i in range(n):
             for j in range(i + 1, n):
+                a, ij = s[i][j]
                 for k in range(j + 1, n):
-                    (a, ij), (b, jk), (c, ki) = s[i][j], s[j][k], s[k][i]
-                    r = sparse_lincomb(
-                        chain(
-                            ((x * b * c, s[l][k]) for l, x in ij),
-                            ((x * a * c, s[l][i]) for l, x in jk),
-                            ((x * a * b, s[l][j]) for l, x in ki),
-                        ),
-                        a * b * c,
-                    )
-                    if r[1]:
+                    (b, jk), (c, ki) = s[j][k], s[k][i]
+                    terms = [(x * b * c, r) for l, x in ij if (r := s[l][k])[1]] if ij else []
+                    if jk:
+                        terms += [(x * a * c, r) for l, x in jk if (r := s[l][i])[1]]
+                    if ki:
+                        terms += [(x * a * b, r) for l, x in ki if (r := s[l][j])[1]]
+                    if terms and (r := sparse_lincomb(terms, a * b * c))[1]:
                         raise JacobiViolation(i, j, k, _dense(r, n))
 
     @classmethod
@@ -196,12 +196,19 @@ class LieModule:
 
     def _validate(self):
         n, s = self.algebra.dim, self.algebra._sparse
+        rho = [a.sparse_rows for a in self.action]
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self._action_of_row(s[i][j])
-                rhs = self.action[i] * self.action[j] - self.action[j] * self.action[i]
-                if lhs != rhs:
-                    raise HomViolation(i, j)
+                t, bracket = s[i][j]
+                for r, ((si, ri), (sj, rj)) in enumerate(zip(rho[i], rho[j])):
+                    # row r of rho([e_i, e_j]) - rho_i rho_j + rho_j rho_i,
+                    # times t si sj for the scales t of the bracket and si, sj
+                    # of row r of rho_i and rho_j
+                    terms = [(c * si * sj, rho[l][r]) for l, c in bracket]
+                    terms += [(-a * t * sj, rho[j][k]) for k, a in ri]
+                    terms += [(a * t * si, rho[i][k]) for k, a in rj]
+                    if sparse_lincomb(terms)[1]:
+                        raise HomViolation(i, j)
 
     @classmethod
     def trivial(cls, algebra, dim):
@@ -210,10 +217,7 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        return self._action_of_row(_checked_row(x, self.algebra.dim))
-
-    def _action_of_row(self, row):
-        s, pairs = row
+        s, pairs = _checked_row(x, self.algebra.dim)
         terms = [(c, self.action[l].sparse_rows) for l, c in pairs]
         rows = (sparse_lincomb(((c, a[r]) for c, a in terms), s) for r in range(self.dim))
         return Matrix._from_sparse(rows, self.dim)
@@ -268,12 +272,17 @@ class AlgebraHom:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         cols = matrix.transpose().sparse_rows
-        s = source._sparse
+        s, t = source._sparse, target._sparse
         for i in range(source.dim):
+            sx, px = cols[i]
             for j in range(i + 1, source.dim):
+                sy, py = cols[j]
+                # M [e_i, e_j] - [M e_i, M e_j], times the scales of the
+                # bracket and of columns i and j
                 scale, pairs = s[i][j]
-                lhs = sparse_lincomb(((x, cols[l]) for l, x in pairs), scale)
-                if lhs != target._sparse_bracket(cols[i], cols[j]):
+                terms = [(x * sx * sy, r) for l, x in pairs if (r := cols[l])[1]]
+                terms += [(-a * b * scale, t[p][q]) for p, a in px for q, b in py]
+                if terms and sparse_lincomb(terms)[1]:
                     raise BracketViolation(i, j)
 
     def __setattr__(self, name, value):

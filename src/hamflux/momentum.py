@@ -21,7 +21,6 @@ from hamflux.cochain import (
     Cochain,
     cohomology,
     contract,
-    contraction_matrix,
     differential,
     differential_matrix,
     lie_derivative,
@@ -54,10 +53,18 @@ from hamflux.linalg import (
 
 
 def pullback_module(analysis, zeta):
-    """g acting on V through zeta (X . v := zeta(X) . v)."""
-    g = zeta.source
-    mats = [analysis.module.action_of(zeta.matrix.column(i)) for i in range(g.dim)]
-    return LieModule(g, analysis.module.dim, mats)
+    """g acting on V through zeta (X . v := zeta(X) . v).
+
+    When zeta is the identity of the analysis module's algebra this is the
+    analysis module itself, validated when it was built, so omega_g, tau and
+    their closedness checks reuse its cached differentials instead of
+    validating a copy and assembling them again.
+    """
+    g, module = zeta.source, analysis.module
+    if g == module.algebra and zeta.matrix == Matrix.identity(g.dim):
+        return module
+    mats = [module.action_of(zeta.matrix.column(i)) for i in range(g.dim)]
+    return LieModule(g, module.dim, mats)
 
 
 def _action_store(analysis, zeta):
@@ -79,21 +86,40 @@ def pullback_cocycle(analysis, zeta):
     Built and checked once per (analysis, zeta); its module is the one
     pullback module that every cochain derived from zeta lives on.
     """
+    return _omega_g(analysis, zeta)[0]
+
+
+def _omega_g(analysis, zeta):
+    """(omega_g, its values on increasing pairs as scaled rows), stored once
+    per (analysis, zeta)."""
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        # column i of the product is i_(zeta e_i) omega; contracting zeta e_j
-        # into it gives omega_g(e_i, e_j) as column j of one product per i
-        module, z = analysis.module, zeta.matrix
-        rows = [
-            (contraction_matrix(Cochain(module, 1, col)) * z).columns()
-            for col in (analysis._contraction * z).columns()
-        ]
-        omega_g = Cochain.from_values(
-            pullback_module(analysis, zeta), 2, lambda i, j: rows[i][j]
-        )
+        m, coords = analysis.module.dim, analysis.omega.coords
+        _, index = tuple_basis(analysis.module.algebra.dim, 2)
+        omega = {}  # omega(e_a, e_b) for a < b, as scaled rows, on first use
+
+        def value(a, b):
+            if (a, b) not in omega:
+                p = index[a, b] * m
+                omega[a, b] = _sparse(coords[p : p + m])
+            return omega[a, b]
+
+        z = zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
+        rows = []
+        for i, j in tuple_basis(zeta.source.dim, 2)[0]:
+            (si, zi), (sj, zj) = z[i], z[j]
+            terms = [
+                (x * y, value(a, b)) if a < b else (-x * y, value(b, a))
+                for a, x in zi
+                for b, y in zj
+                if a != b
+            ]
+            rows.append(sparse_lincomb(terms, si * sj))
+        values = [x for r in rows for x in _dense(r, m)]
+        omega_g = Cochain(pullback_module(analysis, zeta), 2, values)
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
-        store["omega_g"] = omega_g
+        store["omega_g"] = omega_g, tuple(rows)
     return store["omega_g"]
 
 
@@ -171,7 +197,7 @@ def _tau_rows(momentum):
 
 def _derive_tau(momentum):
     analysis, g, module = momentum.analysis, momentum.g, momentum.analysis.module
-    omega_g = pullback_cocycle(analysis, momentum.zeta)
+    omega_g, omega_g_rows = _omega_g(analysis, momentum.zeta)
     z = momentum.zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
     J = momentum.matrix.transpose().sparse_rows  # row j is J(e_j)
     pairs, _ = tuple_basis(g.dim, 2)
@@ -190,8 +216,8 @@ def _derive_tau(momentum):
         raise HamfluxError("obstruction cocycle is not closed")
     # d J(e_i, e_j) = tau(e_i, e_j) - e_j . J(e_i), so tau = d J + omega_g
     # exactly when e_j . J(e_i) = omega_g(e_i, e_j)
-    for i, j in pairs:
-        if module._act_row(z[j], J[i]) != _sparse(omega_g.value(i, j)):
+    for (i, j), w in zip(pairs, omega_g_rows):
+        if module._act_row(z[j], J[i]) != w:
             raise HamfluxError("tau != d J + omega_g; inconsistent data")
     return tau, tuple(rows), tuple(coords)
 
@@ -316,10 +342,9 @@ def abelian_extension(analysis, zeta):
     pullback cocycle in the V_omega slot, built once per (analysis, zeta)."""
     store = _action_store(analysis, zeta)
     if "abelian" not in store:
-        omega_g = pullback_cocycle(analysis, zeta)
         g = zeta.source
         k = analysis.admissible.dim
-        head = _in_admissible(analysis, lambda a, b: _sparse(omega_g.value(a, b)))
+        head = _in_admissible(analysis, _pair_rows(_omega_g(analysis, zeta)[1], g.dim))
         table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
         store["abelian"] = ExtensionPresentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]

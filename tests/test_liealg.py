@@ -1,5 +1,6 @@
 """Lie algebra / module / hom validation and the derived constructions."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,8 @@ from hamflux.liealg import (
 from hamflux.gallery import matrix_algebra_example, random_instance
 from hamflux.hamiltonian import analyze
 from hamflux.linalg import Matrix, Subspace, _neg, unit_vector, vector
-from util import assert_scaled_row, heis3, sl2, solvable2
+from hamflux.problemfile import parse_problem
+from util import assert_scaled_row, heis3, rational_limit_document, sl2, solvable2
 
 
 def test_heis3_validates_and_brackets():
@@ -311,13 +313,36 @@ def changed_bases(draw):
     # first breaks Jacobi on later triples
     identity = [list(unit_vector(n, i)) for i in range(n)]
     p = draw(st.one_of(st.just(identity), rows.filter(lambda r: Matrix(r).rank() == n)))
+    return base, table_in_basis(base, p), p
+
+
+def table_in_basis(base, p):
+    """The dense table of base in the basis f_a = sum_i p[i][a] e_i."""
+    n = base.dim
     pinv = Matrix(p).inverse()
     cols = [[p[i][a] for i in range(n)] for a in range(n)]
-    table = [
+    return [
         [pinv.apply(dense_bracket(base.structure, cols[a], cols[b])) for b in range(n)]
         for a in range(n)
     ]
-    return base, table, p
+
+
+BIG = 2**64 + 13
+# changed entries: small ints, and entries with a numerator or a denominator
+# above 2^64
+deltas = st.one_of(small.filter(bool), st.sampled_from([BIG, -BIG, F(1, BIG), F(-5, BIG)]))
+
+
+@st.composite
+def wide_changed_bases(draw):
+    """changed_bases with each f_a also scaled by one of 1, 2, 3 or BIG: the
+    structure constants, and the maps and actions built from P, then carry
+    rows of different scales, many above 1, and integers above 2^64."""
+    base, _, p = draw(changed_bases())
+    n = base.dim
+    d = [draw(st.sampled_from([1, 2, 3, BIG])) for _ in range(n)]
+    p = [[p[i][a] * d[a] for a in range(n)] for i in range(n)]
+    return base, table_in_basis(base, p), p
 
 
 @st.composite
@@ -439,3 +464,102 @@ def test_hom_fails_at_dense_first_pair(case, data):
         with pytest.raises(BracketViolation) as err:
             AlgebraHom(source, base, mat)
         assert err.value.indices == first
+
+
+def dense_matmul(a, b):
+    cols = range(len(b[0]))
+    return [[sum((x * b[k][c] for k, x in enumerate(row) if x), F(0)) for c in cols] for row in a]
+
+
+def dense_first_hom_violation(table, mats):
+    """The first pair i < j with rho([e_i, e_j]) != [rho(e_i), rho(e_j)], by
+    dense Fraction matrix products, or None."""
+    n, m = len(table), len(mats[0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = dense_matmul(mats[i], mats[j])
+            ji = dense_matmul(mats[j], mats[i])
+            for r in range(m):
+                for c in range(m):
+                    lhs = sum((x * mats[l][r][c] for l, x in enumerate(table[i][j]) if x), F(0))
+                    if lhs != ij[r][c] - ji[r][c]:
+                        return i, j
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_changed_bases(), st.data())
+def test_module_check_fails_at_dense_first_pair(case, data):
+    # the adjoint action of the reference algebra, pulled back to the changed
+    # basis and conjugated by a second invertible Q with columns scaled by 1,
+    # 2, 3 or BIG: a module of the changed algebra until one action entry is
+    # perturbed
+    base, table, p = case
+    n = base.dim
+    rows = st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+    q = data.draw(rows.filter(lambda r: Matrix(r).rank() == n))
+    d = [data.draw(st.sampled_from([1, 2, 3, BIG])) for _ in range(n)]
+    qm = Matrix([[q[i][a] * d[a] for a in range(n)] for i in range(n)])
+    qinv = qm.inverse()
+    cols = [[p[i][a] for i in range(n)] for a in range(n)]
+    mats = [[list(r) for r in (qinv * base.ad_matrix(c) * qm).entries] for c in cols]
+    if data.draw(st.booleans()):
+        a, r, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        mats[a][r][c] += data.draw(deltas)
+    first = dense_first_hom_violation(table, mats)
+    algebra = LieAlgebra(table)
+    if first is None:
+        LieModule(algebra, n, mats)
+    else:
+        with pytest.raises(HomViolation) as err:
+            LieModule(algebra, n, mats)
+        assert type(err.value) is HomViolation
+        assert err.value.indices == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_changed_bases(), st.data())
+def test_hom_with_wide_entries_fails_at_dense_first_pair(case, data):
+    # P^-1 maps the reference basis onto the changed one, so it is a hom from
+    # the reference algebra to the changed algebra until an entry is perturbed
+    base, table, p = case
+    n = base.dim
+    m = [list(r) for r in Matrix(p).inverse().entries]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        m[i][j] += data.draw(deltas)
+    cols = [[m[r][c] for r in range(n)] for c in range(n)]
+    c = base.structure
+    first = next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if dense_matmul(m, [[x] for x in c[i][j]])
+            != [[x] for x in dense_bracket(table, cols[i], cols[j])]
+        ),
+        None,
+    )
+    target = LieAlgebra(table)
+    if first is None:
+        AlgebraHom(base, target, m)
+    else:
+        with pytest.raises(BracketViolation) as err:
+            AlgebraHom(base, target, m)
+        assert type(err.value) is BracketViolation
+        assert err.value.indices == first
+
+
+def test_rational_limit_module_validates_and_fails_at_dense_first_pair():
+    # the diagonal actions of the D = 2 limit document commute; an entry off
+    # the diagonal breaks commutation with every other action matrix
+    pf = parse_problem(json.dumps(rational_limit_document(2)))
+    module = pf.module
+    mats = [[list(r) for r in a.entries] for a in module.action]
+    assert dense_first_hom_violation(module.algebra.structure, mats) is None
+    mats[5][3][11] = F(-37, 91)
+    first = dense_first_hom_violation(module.algebra.structure, mats)
+    assert first == (0, 5)
+    with pytest.raises(HomViolation) as err:
+        LieModule(module.algebra, module.dim, mats)
+    assert err.value.indices == first

@@ -8,13 +8,16 @@ instance with omega = -bracket has J = identity, which is already
 equivariant, so every obstruction-level object collapses.
 """
 
+import importlib
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflux.cochain
 import hamflux.momentum
 from hamflux.cochain import (
     Cochain,
@@ -61,6 +64,7 @@ from hamflux.momentum import (
     extension_embedding,
     obstruction_cocycle,
     pullback_cocycle,
+    pullback_module,
     solve_momentum,
 )
 
@@ -72,6 +76,8 @@ from util import (
     sl2_adjoint_instance,
     solvable2,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +205,91 @@ def test_pullback_cocycle_matches_omega(heis):
     analysis, zeta, _, _ = heis
     omega_g = pullback_cocycle(analysis, zeta)
     assert omega_g.coords == analysis.omega.coords
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [[0, 1], [1, 0]],
+        [[2, F(1, 2)], [-3, 1]],
+        [[F(-2, 3), 5], [F(7, 4), 0]],
+        [[1, 1], [1, 1]],
+    ],
+)
+def test_pullback_cocycle_is_omega_on_the_images(heis, cols):
+    # omega_g(e_i, e_j) = sum of zeta_ai zeta_bj omega(e_a, e_b) over all
+    # a, b, for zeta(e_i) = cols[i] on an abelian g, where every map is a hom
+    analysis = heis[0]
+    g = LieAlgebra.abelian(2)
+    zeta = AlgebraHom(g, analysis.module.algebra, Matrix([list(r) for r in zip(*cols)]))
+    omega_g = pullback_cocycle(analysis, zeta)
+    rows = hamflux.momentum._omega_g(analysis, zeta)[1]
+    m = analysis.module.dim
+    for (i, j), row in zip(tuple_basis(2, 2)[0], rows):
+        want = (0,) * m
+        for a, x in enumerate(cols[i]):
+            for b, y in enumerate(cols[j]):
+                want = tuple(w + x * y * v for w, v in zip(want, analysis.omega.value(a, b)))
+        assert omega_g.value(i, j) == want
+        assert_scaled_row(row, m)
+        assert row == _sparse(want)
+
+
+def test_identity_pullback_is_the_analysis_module(heis):
+    analysis, _, _, _ = heis
+    module = analysis.module
+    identity = AlgebraHom.identity(module.algebra)
+    assert pullback_module(analysis, identity) is module
+    # so omega_g and tau are checked closed with the analysis module's own
+    # cached differentials
+    assert pullback_cocycle(analysis, identity).module is module
+
+
+def test_other_pullbacks_build_and_validate_their_own_module(monkeypatch):
+    module, omega = heis_pair_instance()
+    analysis = analyze(module, omega)
+    validated = []
+    check = LieModule._validate
+    monkeypatch.setattr(LieModule, "_validate", lambda self: (validated.append(self), check(self)))
+    # an automorphism of the module's algebra, and the inclusion of a line
+    swap = AlgebraHom(module.algebra, module.algebra, Matrix([[0, 1], [1, 0]]))
+    line = AlgebraHom(LieAlgebra.abelian(1), module.algebra, Matrix([[1], [0]]))
+    for zeta, action in ((swap, module.action[::-1]), (line, module.action[:1])):
+        pb = pullback_module(analysis, zeta)
+        assert pb is not module and validated[-1] is pb
+        assert pb.algebra is zeta.source and pb.action == action
+    assert len(validated) == 2
+
+
+def test_pullbacks_to_a_module_of_dim_0():
+    g = heis3()
+    module = LieModule(g, 0, [[]] * g.dim)
+    analysis = analyze(module, Cochain(module, 2, []))
+    line = AlgebraHom(LieAlgebra.abelian(1), g, Matrix([[1], [0], [0]]))
+    plane = AlgebraHom(LieAlgebra.abelian(2), g, Matrix([[1, 0], [0, 0], [0, 1]]))
+    for zeta in (AlgebraHom.identity(g), line, plane):
+        momentum, _ = solve_momentum(analysis, zeta)
+        assert pullback_cocycle(analysis, zeta).coords == ()
+        assert obstruction_cocycle(momentum).coords == ()
+        abelian = abelian_extension(analysis, zeta)
+        assert abelian.kernel_dim == 0 and abelian.total == zeta.source
+
+
+def test_sl3_pipeline_assembles_the_degree_2_differential_once(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assembled = []
+    assemble = hamflux.cochain._assemble_differential
+
+    def counting(module, p):
+        assembled.append((module, p))
+        return assemble(module, p)
+
+    monkeypatch.setattr(hamflux.cochain, "_assemble_differential", counting)
+    result = workloads.pipeline_op(workloads.pipeline_setup(1, tmp_path))
+    module = result[1].analysis.module
+    # compared by value: a copy of the module would assemble it again
+    assert [m for m, p in assembled if p == 2 and m == module] == [module]
 
 
 def test_sl2_adjoint_momentum_is_identity(sl2adj):
@@ -514,8 +605,13 @@ def test_tau_closedness_is_checked(monkeypatch):
 
 def test_tau_is_checked_against_d_j_plus_omega_g(monkeypatch):
     momentum = exact_tau_instance()
-    store = hamflux.momentum._action_store(momentum.analysis, momentum.zeta)
-    monkeypatch.setitem(store, "omega_g", 2 * store["omega_g"])
+    analysis = momentum.analysis
+    store = hamflux.momentum._action_store(analysis, momentum.zeta)
+    # the check reads omega_g's stored rows
+    m = analysis.module.dim
+    omega_g, rows = store["omega_g"]
+    doubled = tuple(_sparse(tuple(2 * x for x in _dense(r, m))) for r in rows)
+    monkeypatch.setitem(store, "omega_g", (omega_g, doubled))
     assert_check_fails(
         obstruction_cocycle, fresh(momentum), "tau != d J + omega_g; inconsistent data"
     )

@@ -1,5 +1,6 @@
 """Shared instance constructors for the test suite."""
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -88,3 +89,33 @@ def sl2_adjoint_instance():
         module, 2, lambda i, j: tuple(-x for x in alg.structure[i][j])
     )
     return module, omega
+
+
+def rational_limit_document(digits, dim=16, seed=5):
+    """A problem document at the dimension limits whose cost is in its
+    entries: an abelian dim-dim algebra acting on Q^dim by diagonal
+    matrices, omega with every entry on every pair i < j nonzero, and zeta
+    the identity. Each diagonal action entry and each omega entry is a
+    random "p/q" with digits-digit p and q, drawn from random.Random(seed):
+    the action matrices in order, then omega pair by pair."""
+    rng = random.Random(seed)
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+
+    def ratio():
+        return f"{rng.randint(lo, hi)}/{rng.randint(lo, hi)}"
+
+    action = []
+    for _ in range(dim):
+        grid = [["0"] * dim for _ in range(dim)]
+        for r in range(dim):
+            grid[r][r] = ratio()
+        action.append(grid)
+    omega = [[i, j, ratio(), c] for i in range(dim) for j in range(i + 1, dim) for c in range(dim)]
+    identity = [["1" if r == c else "0" for c in range(dim)] for r in range(dim)]
+    return {
+        "schema": "hamflux/1",
+        "lie_algebra": {"dim": dim, "structure": []},
+        "module": {"dim": dim, "action": action},
+        "omega": omega,
+        "zeta": {"matrix": identity},
+    }
