@@ -150,22 +150,24 @@ def _random_member(rng, subspace):
 
 
 def _run_probes(analysis, seed, count=20):
-    """Seeded spot checks: lift independence modulo the radical, poisson
-    antisymmetry, poisson Jacobi on random admissible vectors. Exact; any
-    failure is a library bug, reported as a mathematical failure."""
+    """Seeded spot checks of the Poisson bracket {v, w} = x . w, x the lift
+    of v. Each probe draws admissible v1, v2, v3 and a radical vector r,
+    lifts each vi once, to xi, and checks that (x1 + r) . v2 = {v1, v2}
+    (independence of the lift), that {v2, v1} = -{v1, v2} and the Jacobi
+    identity. Exact; any failure is a library bug, reported as a
+    mathematical failure."""
     rng = random.Random(f"hamflux-analyze:{seed}")
-    bracket = analysis._bracket_row
+    act = analysis.module._act_row
     for _ in range(count):
         v1, v2, v3 = (_random_member(rng, analysis.admissible) for _ in range(3))
-        b12 = bracket(v1, v2)
-        shifted = sparse_lincomb(
-            ((1, analysis._lift_row(v1)), (1, _random_member(rng, analysis.radical)))
-        )
-        if analysis.module._act_row(shifted, v2) != b12:
+        x1, x2, x3 = map(analysis._lift_row, (v1, v2, v3))
+        b12 = act(x1, v2)
+        shifted = sparse_lincomb(((1, x1), (1, _random_member(rng, analysis.radical))))
+        if act(shifted, v2) != b12:
             raise HamfluxError("probe failed: poisson bracket depends on the lift")
-        if bracket(v2, v1) != _neg(b12):
+        if act(x2, v1) != _neg(b12):
             raise HamfluxError("probe failed: poisson bracket is not antisymmetric")
-        cyclic = (bracket(v1, bracket(v2, v3)), bracket(v2, bracket(v3, v1)), bracket(v3, b12))
+        cyclic = (act(x1, act(x2, v3)), act(x2, act(x3, v1)), act(x3, b12))
         if sparse_lincomb((1, r) for r in cyclic)[1]:
             raise HamfluxError("probe failed: poisson Jacobi identity")
     return {"seed": seed, "count": count, "ok": True}

@@ -1,8 +1,8 @@
 """Alternating cochains on a Lie algebra with module coefficients.
 
-Degrees 0..3 are stored (coordinates on strictly increasing index tuples);
-the differential is implemented for degrees 0..2 via the usual alternating
-sum
+Degrees 0..3 are stored, each cochain as one canonical scaled integer row
+over its coordinates on strictly increasing index tuples; the differential
+is implemented for degrees 0..2 via the usual alternating sum
 
     (d v)(x)        = x . v
     (d a)(x, y)     = x . a(y) - y . a(x) - a([x, y])
@@ -10,27 +10,31 @@ sum
                       - w([x,y], z) + w([x,z], y) - w([y,z], x)
 
 assembled directly as a matrix in the tuple coordinates, so kernels and
-images of d are ordinary exact linear algebra. Contraction and the Lie
+images of d are ordinary exact linear algebra, and d c is that matrix times
+the row of c. Contraction and the Lie
 derivative follow the standard conventions (i_xi c)(...) = c(xi, ...) and
 (L_xi c)(y_1..y_p) = xi.c(y_1..y_p) - sum_i c(y_1, .., [xi, y_i], .., y_p).
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from fractions import Fraction
-
 from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.linalg import (
+    _ZERO_ROW,
     Matrix,
     Subspace,
     _canon,
+    _dense,
+    _neg,
     _sparse,
+    _times,
     kernel_basis,
     quotient_map,
     rat,
-    vec_add,
+    sparse_lincomb,
     vec_scale,
     vec_sub,
     vector,
@@ -38,8 +42,6 @@ from hamflux.linalg import (
 )
 
 MAX_DEGREE = 3
-
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -70,27 +72,51 @@ def cochain_dim(module, p):
     return len(tuples) * module.dim
 
 
-class Cochain:
-    """Alternating p-cochain, coordinates stored per increasing tuple."""
+def _checked_degree(degree):
+    if not 0 <= degree <= MAX_DEGREE:
+        raise UnsupportedDegree(f"degree {degree} outside 0..{MAX_DEGREE}")
+    return degree
 
-    __slots__ = ("module", "degree", "coords")
+
+class Cochain:
+    """Alternating p-cochain stored as one canonical scaled integer row.
+
+    sparse_row is (s, ((q, a), ...)) in the form of Matrix.sparse_rows over
+    the C(n, p) * module.dim coordinates: coordinate k * module.dim + r is
+    component r of the value on the k-th increasing p-tuple. Cochain(module,
+    degree, coords) coerces and checks dense input; Cochain._from_row takes
+    a row the library built itself. coords is the dense Fraction view,
+    derived on each access like Matrix.entries.
+    """
+
+    __slots__ = ("module", "degree", "sparse_row")
 
     def __init__(self, module, degree, coords):
-        if not 0 <= degree <= MAX_DEGREE:
-            raise UnsupportedDegree(f"degree {degree} outside 0..{MAX_DEGREE}")
+        _checked_degree(degree)
         coords = vector(coords)
         if len(coords) != cochain_dim(module, degree):
             raise ValueError("coordinate length mismatch")
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", coords)
+        _fill(self, module, degree, _sparse(coords))
+
+    @classmethod
+    def _from_row(cls, module, degree, row):
+        """Trusted constructor: `row` must be a canonical scaled row of the
+        right length and degree within 0..MAX_DEGREE."""
+        c = object.__new__(cls)
+        _fill(c, module, degree, row)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
 
+    @property
+    def coords(self):
+        """Dense coordinates of Fractions, derived from the stored row."""
+        return _dense(self.sparse_row, cochain_dim(self.module, self.degree))
+
     @classmethod
     def zero(cls, module, degree):
-        return cls(module, degree, zero_vector(cochain_dim(module, degree)))
+        return cls._from_row(module, _checked_degree(degree), _ZERO_ROW)
 
     @classmethod
     def from_values(cls, module, degree, fn):
@@ -108,8 +134,8 @@ class Cochain:
         Every key must have `degree` indices and every value module.dim
         entries."""
         m = module.dim
-        coords = [_ZERO] * cochain_dim(module, degree)
         _, index = tuple_basis(module.algebra.dim, degree)
+        terms = []
         for t, val in entries.items():
             if len(t) != degree:
                 raise ValueError(f"index tuple {t} does not have {degree} indices")
@@ -118,14 +144,21 @@ class Cochain:
                 raise ValueError(f"value at {t} does not have {m} entries")
             sign, key = sort_with_sign(t)
             if sign == 0:
-                if not all(x == 0 for x in val):
+                if any(val):
                     raise ValueError(f"repeated indices {t} with nonzero value")
                 continue
+            s, pairs = _sparse(val)
             base = index[key] * m
-            for j, x in enumerate(val):
-                if x:
-                    coords[base + j] += sign * x
-        return cls(module, degree, coords)
+            terms.append((sign, (s, tuple((base + j, a) for j, a in pairs))))
+        return cls._from_row(module, _checked_degree(degree), sparse_lincomb(terms))
+
+    def _value_row(self, k):
+        """Scaled row of the value on the k-th increasing tuple."""
+        m = self.module.dim
+        s, pairs = self.sparse_row
+        lo = bisect_left(pairs, (k * m,))
+        hi = bisect_left(pairs, ((k + 1) * m,), lo)
+        return _canon(s, [(q - k * m, a) for q, a in pairs[lo:hi]])
 
     def value(self, *idx):
         """Value on basis elements, any index order; zero on repeats."""
@@ -138,28 +171,30 @@ class Cochain:
         if sign == 0:
             return zero_vector(self.module.dim)
         _, index = tuple_basis(n, self.degree)
-        base = index[key] * self.module.dim
-        chunk = self.coords[base : base + self.module.dim]
-        return chunk if sign == 1 else tuple(-x for x in chunk)
+        row = self._value_row(index[key])
+        return _dense(row if sign == 1 else _neg(row), self.module.dim)
 
     def is_zero(self):
-        return all(x == 0 for x in self.coords)
+        return not self.sparse_row[1]
 
     def __add__(self, other):
-        self._compatible(other)
-        return Cochain(self.module, self.degree, vec_add(self.coords, other.coords))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         self._compatible(other)
-        return Cochain(
-            self.module, self.degree, vec_sub(self.coords, other.coords)
-        )
+        row = sparse_lincomb(((1, self.sparse_row), (sign, other.sparse_row)))
+        return Cochain._from_row(self.module, self.degree, row)
 
     def __neg__(self):
-        return Cochain(self.module, self.degree, vec_scale(-1, self.coords))
+        return Cochain._from_row(self.module, self.degree, _neg(self.sparse_row))
 
     def __rmul__(self, c):
-        return Cochain(self.module, self.degree, vec_scale(rat(c), self.coords))
+        c = rat(c)
+        row = _times(self.sparse_row, c) if c else _ZERO_ROW
+        return Cochain._from_row(self.module, self.degree, row)
 
     def _compatible(self, other):
         if self.module is not other.module and self.module != other.module:
@@ -171,15 +206,21 @@ class Cochain:
         return (
             isinstance(other, Cochain)
             and self.degree == other.degree
+            and self.sparse_row == other.sparse_row
             and self.module == other.module
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.degree, self.coords))
+        return hash((self.degree, self.sparse_row))
 
     def __repr__(self):
-        return f"Cochain(degree {self.degree}, {len(self.coords)} coords)"
+        return f"Cochain(degree {self.degree}, {cochain_dim(self.module, self.degree)} coords)"
+
+
+def _fill(c, module, degree, row):
+    object.__setattr__(c, "module", module)
+    object.__setattr__(c, "degree", degree)
+    object.__setattr__(c, "sparse_row", row)
 
 
 def differential_matrix(module, p):
@@ -238,7 +279,7 @@ def differential(c):
     if c.degree >= MAX_DEGREE:
         raise UnsupportedDegree(f"cannot differentiate degree {c.degree}")
     mat = differential_matrix(c.module, c.degree)
-    return Cochain(c.module, c.degree + 1, mat.apply(c.coords))
+    return Cochain._from_row(c.module, c.degree + 1, mat._apply_row(c.sparse_row))
 
 
 def contract(xi, c):
@@ -249,25 +290,36 @@ def contract(xi, c):
     n = c.module.algebra.dim
     if len(xi) != n:
         raise ValueError(f"xi must have {n} entries")
-    return Cochain(c.module, c.degree - 1, contraction_matrix(c).apply(xi))
+    sx, xs = _sparse(xi)
+    ints, acc = dict(xs), {}
+    for q, i, x in _contraction_terms(c):
+        if i in ints:
+            acc[q] = acc.get(q, 0) + x * ints[i]
+    row = _canon(c.sparse_row[0] * sx, [(q, a) for q, a in sorted(acc.items()) if a])
+    return Cochain._from_row(c.module, c.degree - 1, row)
 
 
-def contraction_matrix(c):
-    """Columns i_{e_i} c for degree >= 1: row (s, a) of column i is
-    c(e_i, s)_a = (-1)^k c(t)_a, t the increasing tuple with t_k = i."""
+def _contraction_terms(c):
+    """(coordinate q of C^(p-1), index i, integer x) for each term of the
+    contractions i_{e_i} c, over the scale of c: c(e_i, s)_a = (-1)^k c(t)_a,
+    t the increasing tuple with t_k = i and s the rest of t."""
     n, m = c.module.algebra.dim, c.module.dim
     tuples, _ = tuple_basis(n, c.degree)
     _, out_index = tuple_basis(n, c.degree - 1)
-    # the coordinates as integers over one scale
-    den, coords = _sparse(c.coords)
-    rows = [[] for _ in range(cochain_dim(c.module, c.degree - 1))]
-    for q, x in coords:
+    for q, x in c.sparse_row[1]:
         pos, a = divmod(q, m)
         t = tuples[pos]
         for k, i in enumerate(t):
-            base = out_index[t[:k] + t[k + 1 :]] * m
-            rows[base + a].append((i, -x if k % 2 else x))
-    return Matrix._from_sparse((_canon(den, sorted(r)) for r in rows), n)
+            yield out_index[t[:k] + t[k + 1 :]] * m + a, i, -x if k % 2 else x
+
+
+def contraction_matrix(c):
+    """Columns i_{e_i} c for degree >= 1, read off the stored row."""
+    rows = [[] for _ in range(cochain_dim(c.module, c.degree - 1))]
+    for q, i, x in _contraction_terms(c):
+        rows[q].append((i, x))
+    s = c.sparse_row[0]
+    return Matrix._from_sparse((_canon(s, sorted(r)) for r in rows), c.module.algebra.dim)
 
 
 def lie_derivative(xi, c):

@@ -11,9 +11,9 @@ action on the ambient algebra, from _central_quotient.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from hamflux._record import Record
 from hamflux.cochain import Cochain, cochain_dim, differential, differential_matrix
 from hamflux.errors import (
     GenerationFailed,
@@ -46,15 +46,17 @@ from hamflux.linalg import (
 )
 
 
-@dataclass(frozen=True)
-class InstanceBundle:
-    label: str
-    module: LieModule
-    omega: Cochain
-    zeta: object = None  # AlgebraHom into the algebra, when an action is bundled
-    expected: dict = field(default_factory=dict)
+class InstanceBundle(Record):
+    """label, module, omega (a 2-cochain over module), zeta (an AlgebraHom
+    into the algebra, when an action is bundled) and the expected dict,
+    empty when not given."""
+
+    __slots__ = ("label", "module", "omega", "zeta", "expected")
+    _defaults = {"zeta": None, "expected": None}
 
     def __post_init__(self):
+        if self.expected is None:
+            object.__setattr__(self, "expected", {})
         if self.omega.module != self.module or self.omega.degree != 2:
             raise ValueError("omega must be a 2-cochain over the bundled module")
         if self.zeta is not None and self.zeta.target != self.module.algebra:

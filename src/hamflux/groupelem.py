@@ -11,8 +11,8 @@ so closure failures surface as errors instead of silently wrong answers.
 """
 
 import math
-from dataclasses import dataclass
 
+from hamflux._record import Record
 from hamflux.errors import (
     BracketViolation,
     CocycleInvarianceViolation,
@@ -29,15 +29,13 @@ from hamflux.linalg import Matrix, hstack, rat, vstack
 from hamflux.momentum import central_extension, extended_momentum
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    label: str
-    analysis: object
-    zeta: object
-    ad: Matrix
-    ad_inv: Matrix
-    rho_v: Matrix
-    rho_v_inv: Matrix
+class GroupElement(Record):
+    """A validated element: label, the action data (analysis, zeta) and the
+    matrices Ad and rhoV with their inverses. Elements compare by identity."""
+
+    __slots__ = ("label", "analysis", "zeta", "ad", "ad_inv", "rho_v", "rho_v_inv")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return f"GroupElement({self.label!r})"

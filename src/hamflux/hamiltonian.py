@@ -17,9 +17,9 @@ is {v1, v2} = xi1 . v2, which equals -omega(xi1, xi2) and -xi2 . v1 and is
 independent of the lift choice because the lift is unique modulo the radical.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
     cochain_dim,
@@ -228,12 +228,10 @@ def analyze(module, omega):
     return HamiltonianAnalysis(module, omega)
 
 
-@dataclass(frozen=True)
-class HamiltonianPair:
-    """A vector with a chosen hamiltonian lift, d v = i_xi omega."""
+class HamiltonianPair(Record):
+    """A vector v with a chosen hamiltonian lift xi, d v = i_xi omega."""
 
-    v: tuple
-    xi: tuple
+    __slots__ = ("v", "xi")
 
 
 def hamiltonian_pair(analysis, v, xi):

@@ -100,20 +100,25 @@ class LieAlgebra:
                     raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
         # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k], times
         # the product of the three bracket scales, over the terms whose row
-        # is nonzero; a triple with no such term, such as one of three zero
-        # brackets, sums to zero
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, ij = s[i][j]
-                for k in range(j + 1, n):
-                    (b, jk), (c, ki) = s[j][k], s[k][i]
-                    terms = [(x * b * c, r) for l, x in ij if (r := s[l][k])[1]] if ij else []
-                    if jk:
-                        terms += [(x * a * c, r) for l, x in jk if (r := s[l][i])[1]]
-                    if ki:
-                        terms += [(x * a * b, r) for l, x in ki if (r := s[l][j])[1]]
-                    if terms and (r := sparse_lincomb(terms, a * b * c))[1]:
-                        raise JacobiViolation(i, j, k, _dense(r, n))
+        # is nonzero. A triple has such a term only when some l in [e_x, e_y]
+        # has [e_l, e_z] nonzero, (x, y, z) a rotation of it; the others sum
+        # to zero, so only those triples are visited, in increasing order.
+        partners = [{k for k, (_, p) in enumerate(row) if p} for row in s]
+        live = set()
+        for x in range(n):
+            for y in range(x + 1, n):
+                if pairs := s[x][y][1]:
+                    zs = set().union(*[partners[l] for l, _ in pairs]) - {x, y}
+                    live.update(
+                        (x, y, z) if z > y else (x, z, y) if z > x else (z, x, y) for z in zs
+                    )
+        for i, j, k in sorted(live):
+            (a, ij), (b, jk), (c, ki) = s[i][j], s[j][k], s[k][i]
+            terms = [(x * b * c, r) for l, x in ij if (r := s[l][k])[1]]
+            terms += [(x * a * c, r) for l, x in jk if (r := s[l][i])[1]]
+            terms += [(x * a * b, r) for l, x in ki if (r := s[l][j])[1]]
+            if (r := sparse_lincomb(terms, a * b * c))[1]:
+                raise JacobiViolation(i, j, k, _dense(r, n))
 
     @classmethod
     def abelian(cls, n):

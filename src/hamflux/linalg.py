@@ -144,6 +144,13 @@ def _neg(row):
     return row[0], tuple((j, -a) for j, a in row[1])
 
 
+def _times(row, c):
+    """Canonical row of the nonzero Fraction c times a scaled row."""
+    s, pairs = row
+    p, q = c.numerator, c.denominator
+    return _canon(s * q, [(j, a * p) for j, a in pairs])
+
+
 def _concat(rows, width):
     # `rows` side by side, row k from column k * width on
     return _gather([(k * width + j, a, s) for k, (s, p) in enumerate(rows) for j, a in p])
@@ -296,11 +303,7 @@ class Matrix:
         c = rat(other)
         if not c:
             return Matrix.zeros(self.nrows, self.ncols)
-        p, q = c.numerator, c.denominator
-        return Matrix._from_sparse(
-            (_canon(s * q, [(j, a * p) for j, a in r]) for s, r in self.sparse_rows),
-            self.ncols,
-        )
+        return Matrix._from_sparse((_times(r, c) for r in self.sparse_rows), self.ncols)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -322,6 +325,20 @@ class Matrix:
             t = sum([a * ints[j] for j, a in r if j in ints])
             out.append(Fraction(t, s * den) if t else _ZERO)
         return tuple(out)
+
+    def _apply_row(self, row):
+        """Canonical row of the product with the vector of the scaled row
+        `row`: integer sums, each row's over its own scale."""
+        den, pairs = row
+        if not pairs:
+            return _ZERO_ROW
+        ints = dict(pairs)
+        out = []
+        for i, (s, r) in enumerate(self.sparse_rows):
+            t = sum([a * ints[j] for j, a in r if j in ints])
+            if t:
+                out.append((i, t, s * den))
+        return _gather(out)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]

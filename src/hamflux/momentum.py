@@ -15,8 +15,7 @@ product V_omega x g is equivalent to the omega_g-extension, with equivalence
 (v, X) -> (v + J(X), X).
 """
 
-from dataclasses import dataclass
-
+from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
     cohomology,
@@ -41,9 +40,8 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     _concat,
-    _dense,
+    _gather,
     _neg,
-    _sparse,
     hstack,
     sparse_lincomb,
     vec_add,
@@ -94,15 +92,14 @@ def _omega_g(analysis, zeta):
     per (analysis, zeta)."""
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        m, coords = analysis.module.dim, analysis.omega.coords
+        omega = analysis.omega
         _, index = tuple_basis(analysis.module.algebra.dim, 2)
-        omega = {}  # omega(e_a, e_b) for a < b, as scaled rows, on first use
+        values = {}  # omega(e_a, e_b) for a < b, as scaled rows, on first use
 
         def value(a, b):
-            if (a, b) not in omega:
-                p = index[a, b] * m
-                omega[a, b] = _sparse(coords[p : p + m])
-            return omega[a, b]
+            if (a, b) not in values:
+                values[a, b] = omega._value_row(index[a, b])
+            return values[a, b]
 
         z = zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
         rows = []
@@ -115,8 +112,8 @@ def _omega_g(analysis, zeta):
                 if a != b
             ]
             rows.append(sparse_lincomb(terms, si * sj))
-        values = [x for r in rows for x in _dense(r, m)]
-        omega_g = Cochain(pullback_module(analysis, zeta), 2, values)
+        row = _concat(rows, analysis.module.dim)
+        omega_g = Cochain._from_row(pullback_module(analysis, zeta), 2, row)
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
         store["omega_g"] = omega_g, tuple(rows)
@@ -211,7 +208,7 @@ def _derive_tau(momentum):
             coords.append(analysis.invariants._coords_row(rows[-1]))
         except Unsolvable:
             raise HamfluxError("obstruction value escaped the invariants") from None
-    tau = Cochain(omega_g.module, 2, [x for r in rows for x in _dense(r, module.dim)])
+    tau = Cochain._from_row(omega_g.module, 2, _concat(rows, module.dim))
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
     # d J(e_i, e_j) = tau(e_i, e_j) - e_j . J(e_i), so tau = d J + omega_g
@@ -224,19 +221,16 @@ def _derive_tau(momentum):
 
 # -- extensions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionPresentation:
+class ExtensionPresentation(Record):
     """A Lie algebra extension kernel -> total -> base in block form.
 
-    The kernel is the first kernel_dim coordinates of total and base the
+    Fields: kind (str), total and base (LieAlgebra) and kernel_dim. The
+    kernel is the first kernel_dim coordinates of total and base the
     remaining ones, so injection, projection and its right inverse section
     are the coordinate inclusions and projection, derived on each access.
     """
 
-    kind: str
-    total: LieAlgebra
-    base: LieAlgebra
-    kernel_dim: int
+    __slots__ = ("kind", "total", "base", "kernel_dim")
 
     def __post_init__(self):
         t, k = self.total, self.kernel_dim
@@ -377,12 +371,13 @@ def extension_embedding(momentum):
 
 # -- equivariantization ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivariantizationResult:
-    momentum: object  # equivariant MomentumMap when successful, else None
-    shift: object  # Matrix with columns in V^h, J_eq = J - shift
-    obstruction_class: tuple  # class of tau in H^2(g, V^h), zero iff success
-    cohomology_dim: int
+class EquivariantizationResult(Record):
+    """momentum, the equivariant MomentumMap when successful, else None;
+    shift, a Matrix with columns in V^h, J_eq = J - shift; the
+    obstruction_class of tau in H^2(g, V^h), zero iff success; and
+    cohomology_dim."""
+
+    __slots__ = ("momentum", "shift", "obstruction_class", "cohomology_dim")
 
     @property
     def success(self):
@@ -403,10 +398,13 @@ def equivariantize(momentum):
     inv = analysis.invariants
     k = inv.dim
     # component a of tau is entry a of its V^h coordinates on every pair
-    coords = [_dense(r, k) for r in _tau_rows(momentum)[1]]
+    entries = [[] for _ in range(k)]
+    for pos, (s, pairs) in enumerate(_tau_rows(momentum)[1]):
+        for a, x in pairs:
+            entries[a].append((pos, x, s))
     scalar = LieModule.trivial(momentum.g, 1)
     h2 = cohomology(scalar, 2)
-    parts = [Cochain(scalar, 2, [v[a] for v in coords]) for a in range(k)]
+    parts = [Cochain._from_row(scalar, 2, _gather(e)) for e in entries]
     cls = tuple(x for xs in zip(*map(h2.class_of, parts)) for x in xs)
     solver = LinearSolver(differential_matrix(scalar, 1))
     try:
@@ -506,12 +504,12 @@ def equivariant_pair_check(momentum):
 
 # -- Baer product -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaerProductResult:
-    extension: ExtensionPresentation  # V_omega x_tau g from the literal quotient
-    abelian: ExtensionPresentation  # V_omega x_{omega_g} g
-    equivalence: Matrix  # iso extension.total -> abelian.total, (v,X)->(v+J(X),X)
-    momentum: MomentumMap
+class BaerProductResult(Record):
+    """extension, V_omega x_tau g from the literal quotient; abelian,
+    V_omega x_{omega_g} g; equivalence, the iso extension.total ->
+    abelian.total, (v, X) -> (v + J(X), X); and the momentum map."""
+
+    __slots__ = ("extension", "abelian", "equivalence", "momentum")
 
 
 def baer_product(analysis, zeta, momentum=None):

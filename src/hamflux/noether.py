@@ -10,18 +10,17 @@ hypotheses verified, so conclusion_ok = False on one indicates a bug, not
 bad input.
 """
 
-from dataclasses import dataclass
-
+from hamflux._record import Record
 from hamflux.cochain import Cochain, contract, differential
 from hamflux.errors import HypothesisViolation
 from hamflux.linalg import vector
 
 
-@dataclass(frozen=True)
-class NoetherReport:
-    hypothesis_ok: bool
-    conclusion_ok: bool
-    witnesses: tuple  # (tag, indices, residual) triples, residuals all zero on success
+class NoetherReport(Record):
+    """hypothesis_ok and conclusion_ok flags and the witnesses, (tag,
+    indices, residual) triples whose residuals are all zero on success."""
+
+    __slots__ = ("hypothesis_ok", "conclusion_ok", "witnesses")
 
     def residuals(self):
         return [w[2] for w in self.witnesses]

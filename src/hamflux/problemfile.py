@@ -18,14 +18,13 @@ equation is a question for the commands that use it, not for the parser.
 
 import json
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from .cochain import Cochain
+from ._record import Record
+from .cochain import Cochain, tuple_basis
 from .errors import HamfluxError, ParseError, ValidationError
 from .liealg import AlgebraHom, LieAlgebra, LieModule, _Rows
-from .linalg import _ZERO_ROW, Matrix, _gather, _neg, rat_str
+from .linalg import _ZERO_ROW, Matrix, _dense, _gather, _neg, rat_str
 
 SCHEMA = "hamflux/1"
 
@@ -60,48 +59,54 @@ _TOP_KEYS = (
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
-@dataclass(frozen=True)
-class GroupElementSpec:
-    """Raw matrices for one group element; validated when a command uses it."""
+class GroupElementSpec(Record):
+    """Raw matrices for one group element; validated when a command uses it.
 
-    label: str
-    ad: Matrix
-    rho_v: Matrix
+    Fields: label (str), ad and rho_v (Matrix)."""
 
-
-@dataclass(frozen=True)
-class InvariantFlowSpec:
-    generators: Matrix  # columns span the acting subalgebra, in listed order
-    v: tuple
-    xi: tuple
+    __slots__ = ("label", "ad", "rho_v")
 
 
-@dataclass(frozen=True)
-class CommutingSpec:
-    g1: Matrix
-    g2: Matrix
-    j1: object = None  # optional supplied momentum matrices
-    j2: object = None
+class InvariantFlowSpec(Record):
+    """generators, a Matrix whose columns span the acting subalgebra in
+    listed order, and the vectors v and xi."""
+
+    __slots__ = ("generators", "v", "xi")
 
 
-@dataclass(frozen=True)
-class NoetherSpec:
-    invariant_flow: object = None
-    commuting: object = None
+class CommutingSpec(Record):
+    """Generator matrices g1 and g2 and optional supplied momentum matrices
+    j1 and j2."""
+
+    __slots__ = ("g1", "g2", "j1", "j2")
+    _defaults = {"j1": None, "j2": None}
 
 
-@dataclass(frozen=True, eq=False)
-class ProblemFile:
-    """A parsed document: validated core objects plus optional blocks."""
+class NoetherSpec(Record):
+    """The invariant_flow and commuting blocks, each None when absent."""
 
-    algebra: LieAlgebra
-    module: LieModule
-    omega: Cochain
-    zeta: object = None  # AlgebraHom g -> algebra
-    momentum: object = None  # Matrix, module.dim x zeta.source.dim
-    group_elements: tuple = ()
-    noether: object = None
-    extension: object = None  # metadata block carried through verbatim
+    __slots__ = ("invariant_flow", "commuting")
+    _defaults = {"invariant_flow": None, "commuting": None}
+
+
+class ProblemFile(Record):
+    """A parsed document: validated core objects plus optional blocks.
+
+    Fields: algebra (LieAlgebra), module (LieModule), omega (Cochain), zeta
+    (AlgebraHom g -> algebra), momentum (Matrix, module.dim x
+    zeta.source.dim), group_elements (tuple), noether and extension (the
+    metadata block carried through verbatim). Documents compare equal when
+    they serialize equally; a ProblemFile is not hashable.
+    """
+
+    __slots__ = (
+        "algebra", "module", "omega", "zeta", "momentum", "group_elements", "noether",
+        "extension",
+    )
+    _defaults = {
+        "zeta": None, "momentum": None, "group_elements": (), "noether": None,
+        "extension": None,
+    }
 
     @classmethod
     def from_parts(cls, module, omega, zeta=None, **rest):
@@ -158,42 +163,56 @@ def _index(x, path, dim, what="index"):
     return i
 
 
-def _ratio(x, path):
-    """(p, q) with x = p / q and q >= 1, not necessarily in lowest terms."""
+def _rational(x):
+    """(p, q) with x = p / q and q >= 1, not necessarily in lowest terms, or
+    the message saying why x is not an exact rational."""
     if isinstance(x, bool):
-        _fail(path, "expected a rational, got a boolean")
+        return "expected a rational, got a boolean"
     if isinstance(x, int):
         return x, 1
     if isinstance(x, float):
-        _fail(path, 'floats lose exactness; write the value as a "p/q" string')
+        return 'floats lose exactness; write the value as a "p/q" string'
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
-            _fail(path, f"malformed rational {x!r}")
+            return f"malformed rational {x!r}"
         p, _, q = x.partition("/")
         try:
             p, q = int(p), int(q or 1)
         except ValueError:  # past the int/str conversion digit limit
-            _fail(path, "rational has too many digits")
+            return "rational has too many digits"
         if not q:
-            _fail(path, "zero denominator")
+            return "zero denominator"
         return p, q
-    _fail(path, "expected a rational")
+    return "expected a rational"
 
 
-def _ratios(x, path, length, what):
-    row = _list(x, path)
-    if len(row) != length:
-        _fail(path, f"expected a {what} of length {length}, got {len(row)}")
-    return [_ratio(v, f"{path}[{c}]") for c, v in enumerate(row)]
-
-
-def _vector(x, path, length, what="vector"):
-    return tuple(Fraction(p, q) for p, q in _ratios(x, path, length, what))
+def _ratio(x, path):
+    r = _rational(x)
+    if isinstance(r, str):
+        _fail(path, r)
+    return r
 
 
 def _row(x, path, length, what):
-    """Canonical scaled row of a vector of rationals."""
-    return _gather([(c, p, q) for c, (p, q) in enumerate(_ratios(x, path, length, what)) if p])
+    """Canonical scaled row of a vector of rationals; entry c's path is
+    built only when it fails."""
+    row = _list(x, path)
+    if len(row) != length:
+        _fail(path, f"expected a {what} of length {length}, got {len(row)}")
+    entries = []
+    for c, v in enumerate(row):
+        if v == "0":  # the usual zero needs no parsing
+            continue
+        r = _rational(v)
+        if isinstance(r, str):
+            _fail(f"{path}[{c}]", r)
+        if r[0]:
+            entries.append((c, *r))
+    return _gather(entries)
+
+
+def _vector(x, path, length, what="vector"):
+    return _dense(_row(x, path, length, what), length)
 
 
 def _grid(x, path, nrows, ncols):
@@ -277,8 +296,9 @@ def _parse_module(block, path, algebra):
 
 
 def _parse_omega(rows, path, module):
-    n = module.algebra.dim
-    entries = {}
+    n, m = module.algebra.dim, module.dim
+    _, index = tuple_basis(n, 2)
+    entries = []  # (coordinate, p, q) of each nonzero entry
     seen = set()
     for r, row in enumerate(_list(rows, path)):
         here = f"{path}[{r}]"
@@ -287,22 +307,20 @@ def _parse_omega(rows, path, module):
             _fail(here, 'expected [i, j, "p/q", component]')
         i = _index(entry[0], f"{here}[0]", n)
         j = _index(entry[1], f"{here}[1]", n)
-        c = Fraction(*_ratio(entry[2], f"{here}[2]"))
-        comp = _index(entry[3], f"{here}[3]", module.dim, "component")
+        p, q = _ratio(entry[2], f"{here}[2]")
+        comp = _index(entry[3], f"{here}[3]", m, "component")
         if i == j:
-            if c:
+            if p:
                 _invalid(here, "cochain entry on a repeated index must vanish")
             continue
         if i > j:
-            i, j, c = j, i, -c
+            i, j, p = j, i, -p
         if (i, j, comp) in seen:
             _invalid(here, f"duplicate cochain entry for ({i}, {j}, {comp})")
         seen.add((i, j, comp))
-        vals = entries.setdefault((i, j), [Fraction(0)] * module.dim)
-        vals[comp] = c
-    return Cochain.from_dict(
-        module, 2, {t: tuple(v) for t, v in entries.items()}
-    )
+        if p:
+            entries.append((index[i, j] * m + comp, p, q))
+    return Cochain._from_row(module, 2, _gather(sorted(entries)))
 
 
 def _parse_zeta(block, path, algebra):
@@ -459,8 +477,20 @@ def parse_problem(text):
 # same object always prints the same bytes
 
 
+def _text(a, s):
+    """str(Fraction(a, s)) for ints a and s >= 1, with one gcd."""
+    g = gcd(a, s)
+    return str(a // g) if g == s else f"{a // g}/{s // g}"
+
+
 def grid_of(matrix):
-    return [[rat_str(x) for x in matrix.row(i)] for i in range(matrix.nrows)]
+    rows = []
+    for s, pairs in matrix.sparse_rows:
+        row = ["0"] * matrix.ncols
+        for j, a in pairs:
+            row[j] = _text(a, s)
+        rows.append(row)
+    return rows
 
 
 def vector_of(v):
@@ -473,20 +503,20 @@ def structure_rows(algebra):
         for j in range(i + 1, algebra.dim):
             s, pairs = algebra._sparse[i][j]
             for k, c in pairs:
-                rows.append([i, j, k, rat_str(Fraction(c, s))])
+                rows.append([i, j, k, _text(c, s)])
     return rows
 
 
 def cochain_rows(c):
     if c.degree != 2:
         raise ValueError("sparse entry rows are defined for 2-cochains")
+    m = c.module.dim
+    tuples, _ = tuple_basis(c.module.algebra.dim, 2)
+    s, pairs = c.sparse_row
     rows = []
-    n = c.module.algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for comp, x in enumerate(c.value(i, j)):
-                if x:
-                    rows.append([i, j, rat_str(x), comp])
+    for q, a in pairs:
+        pos, comp = divmod(q, m)
+        rows.append([*tuples[pos], _text(a, s), comp])
     return rows
 
 
@@ -551,7 +581,7 @@ def _emit(x, indent):
         return "{\n" + ",\n".join(parts) + "\n" + " " * indent + "}"
     if isinstance(x, list):
         if all(not isinstance(v, (dict, list)) for v in x):
-            return "[" + ", ".join(json.dumps(v) for v in x) + "]"
+            return json.dumps(x)
         inner = " " * (indent + 2)
         parts = [inner + _emit(v, indent + 2) for v in x]
         return "[\n" + ",\n".join(parts) + "\n" + " " * indent + "]"

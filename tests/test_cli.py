@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamflux.cli
+import hamflux.hamiltonian
 import hamflux.linalg
 from hamflux.cli import main
 from hamflux.cochain import Cochain
@@ -111,6 +112,20 @@ def test_analyze_probes_solve_once_per_admissible_basis_vector(capsys, monkeypat
     assert code == 0 and "probes: 20 ok (seed 7)" in out
     assert "admissible          4\n" in out
     assert len(solves) <= 4
+
+
+def test_analyze_probes_lift_each_vector_once(capsys, monkeypatch):
+    lifts = []
+    lift_row = hamflux.hamiltonian.HamiltonianAnalysis._lift_row
+
+    def counting(self, row):
+        lifts.append(row)
+        return lift_row(self, row)
+
+    monkeypatch.setattr(hamflux.hamiltonian.HamiltonianAnalysis, "_lift_row", counting)
+    code, out, _ = run(capsys, "analyze", DATA / "sl2_m2.json", "--seed", "7")
+    assert code == 0 and "probes: 20 ok (seed 7)" in out
+    assert len(lifts) == 3 * 20
 
 
 # faults in the sl2_m2 analysis, each making exactly one probe check fail first
@@ -515,6 +530,24 @@ def test_entry_point_subprocess():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_import_loads_no_introspection_modules():
+    # importing them costs start-up time on every command
+    src = str(Path(hamflux.cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); import hamflux, hamflux.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_one_parser_serves_successive_calls(capsys):

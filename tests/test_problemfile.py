@@ -1,17 +1,22 @@
 """Problem-document parsing, validation positions, and round trips."""
 
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from hamflux.cli import main
+from hamflux.cochain import Cochain
 from hamflux.errors import ParseError, ValidationError
 from hamflux.gallery import matrix_algebra_example
-from hamflux.liealg import LieAlgebra
+from hamflux.liealg import LieAlgebra, LieModule
 from hamflux.linalg import Matrix
 from hamflux.problemfile import (
     ProblemFile,
+    cochain_rows,
+    grid_of,
     parse_problem,
     problem_to_text,
     render_json,
@@ -370,3 +375,85 @@ def test_unreduced_rationals_parse_to_their_values():
     assert pf.zeta.source.structure[0][1] == (0, F(2, 3))
     assert pf.momentum.sparse_rows == ((2, ((0, 3), (1, -6))), (3, ((0, -1), (1, 2))))
     assert pf.omega.value(0, 1) == (0, F(3, 2))
+
+
+# -- zero-like entries and the row renderers ---------------------------------------
+
+ZERO_LIKE = [
+    (False, 'expected a rational, got a boolean'),
+    (0.0, 'floats lose exactness; write the value as a "p/q" string'),
+    ("-0", None),
+    ("00", None),
+    ("0/0", "zero denominator"),
+    ("0 ", "malformed rational '0 '"),
+    ([], "expected a rational"),
+    (None, "expected a rational"),
+]
+
+
+@pytest.mark.parametrize("value, message", ZERO_LIKE)
+def test_zero_like_entries_keep_their_exit_code_message_and_path(tmp_path, capsys, value, message):
+    # the parser skips an exact "0" unparsed; every other zero-like entry is
+    # parsed, in an action grid as in omega
+    zero = [["0", "0"], ["0", "0"]]
+    cases = [
+        ({"dim": 2, "action": [[["1", "0"], ["0", value]], zero]}, [], "$.module.action[0][1][1]"),
+        ({"dim": 2, "action": [zero, zero]}, [[0, 1, value, 1]], "$.omega[0][2]"),
+    ]
+    for module, omega, path in cases:
+        target = tmp_path / "doc.json"
+        target.write_text(doc(module=module, omega=omega))
+        code = main(["validate", str(target)])
+        out, err = capsys.readouterr()
+        if message is None:
+            assert (code, err) == (0, "") and "omega entries 0" in out
+        else:
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def old_grid_of(matrix):
+    return [[str(x) for x in matrix.row(i)] for i in range(matrix.nrows)]
+
+
+def old_cochain_rows(c):
+    n = c.module.algebra.dim
+    return [
+        [i, j, str(x), comp]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for comp, x in enumerate(c.value(i, j))
+        if x
+    ]
+
+
+def old_emit(x, indent):
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = " " * (indent + 2)
+        parts = [f"{inner}{json.dumps(k)}: {old_emit(v, indent + 2)}" for k, v in x.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + " " * indent + "}"
+    if isinstance(x, list):
+        if all(not isinstance(v, (dict, list)) for v in x):
+            return "[" + ", ".join(json.dumps(v) for v in x) + "]"
+        inner = " " * (indent + 2)
+        parts = [inner + old_emit(v, indent + 2) for v in x]
+        return "[\n" + ",\n".join(parts) + "\n" + " " * indent + "]"
+    return json.dumps(x)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_renderers_match_the_dense_formulas(seed):
+    # negative, unreduced (an entry sharing a factor with its row's scale)
+    # and large entries, in one grid and one 2-cochain
+    rng = random.Random(seed)
+    pick = [0, 0, 1, -1, F(-4, 6), F(9, 12), F(2**70 + 1, 3), -(2**65), F(-(2**66), 2**64 + 1)]
+    entries = [[rng.choice(pick) for _ in range(4)] for _ in range(3)]
+    matrix = Matrix(entries)
+    assert grid_of(matrix) == old_grid_of(matrix)
+    module = LieModule.trivial(LieAlgebra.abelian(4), 2)
+    omega = Cochain(module, 2, [rng.choice(pick) for _ in range(12)])
+    assert cochain_rows(omega) == old_cochain_rows(omega)
+    data = {"grid": grid_of(matrix), "omega": cochain_rows(omega), "leaves": [1, None, True, "x"],
+            "empty": [], "nested": {"e": {}, "n": [[], [2.5]]}}
+    assert render_json(data) == old_emit(data, 0) + "\n"
