@@ -10,13 +10,41 @@ returns an analysis that derives, as exact subspaces on first access:
     invariants   V^h = {v : h.v = 0}
     admissible       = {v : d v = i_xi omega solvable with xi hamiltonian}
 
-together with a lift matrix, whose columns are the canonical hamiltonian
-lifts of the admissible basis, and a stored factorization that solves for a
+together with a lift matrix, whose rows are the canonical hamiltonian lifts
+of the admissible basis, and a stored factorization that solves for a
 potential v of a hamiltonian xi. The Poisson bracket on admissible vectors
 is {v1, v2} = xi1 . v2, which equals -omega(xi1, xi2) and -xi2 . v1 and is
 independent of the lift choice because the lift is unique modulo the radical.
+
+Every subalgebra above lies in K = {xi : i_xi(d omega) = 0}, so the lattice
+is one chain of eliminations inside K, each in K-coordinates (dim K
+columns) and mapped back through K's echelon basis, which keeps every basis
+canonical:
+
+    K            h when d omega = 0, with no elimination; otherwise the
+                 kernel of the contraction matrix of d omega, the only
+                 elimination that sees its rows
+    symplectic   the kernel of xi -> d(i_xi omega) on K
+    pair kernel  P = {(xi, v) : xi in K, i_xi omega = d v}, eliminated once;
+                 of its echelon rows with the xi columns first, those with a
+                 pivot among the xi columns span ham, the others are (0, v)
+                 with v in V^h
+    admissible,  one re-reduction of the rows of P, with the v columns first
+    lifts and    and the xi columns after them in reverse order: rows with a
+    radical      pivot among the v columns are (b, lift of b) for the
+                 echelon basis b of the admissible vectors, the others span
+                 rad
+    normalizer   the kernel of xi -> [xi, r] mod rad, over the basis r of
+                 rad, on K
+    invariants   the kernel of d on V, apart from the chain, so that a
+                 reader of V^h alone does not pay for P
+
+momentum and extend read V^h and, as they need them, ham, the admissible
+vectors and the potential solver: they build at most K, P and
+its re-reduction, and never sp, rad, the normalizer or the lift matrix.
 """
 
+from bisect import bisect_left
 from functools import cached_property
 
 from hamflux._record import Record
@@ -40,20 +68,19 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
+    _canon,
     _checked_row,
+    _concat,
     _dense,
-    _sparse,
+    _rref_in_order,
     hstack,
     kernel_basis,
     quotient_map,
     sparse_lincomb,
-    unit_vector,
     vec_add,
     vec_neg,
     vec_sub,
     vector,
-    vstack,
-    zero_vector,
 )
 
 
@@ -66,77 +93,128 @@ class HamiltonianAnalysis:
         self.module = module
         self.omega = omega
         self.d_omega = differential(omega)
-        # columns: coordinates of i_{e_i} omega and i_{e_i} d(omega)
+        # columns: coordinates of i_{e_i} omega
         self._contraction = contraction_matrix(omega)
-        self._contraction3 = contraction_matrix(self.d_omega)
         self._d0 = differential_matrix(module, 0)
         # objects hamflux.momentum derives from an action zeta, keyed by
         # (zeta.source, zeta.matrix)
         self._actions = {}
 
     @cached_property
+    def _contraction3(self):
+        # columns: coordinates of i_{e_i} d(omega)
+        return contraction_matrix(self.d_omega)
+
+    @cached_property
+    def _kernel(self):
+        # K = {xi : i_xi d(omega) = 0} holds every subalgebra of the lattice;
+        # this is the only elimination that sees the rows of i_xi d(omega)
+        if self.d_omega.is_zero():
+            return Subspace.full(self.module.algebra.dim)
+        return kernel_basis(self._contraction3)
+
+    def _from_kernel(self, rows):
+        """Scaled rows of K-coordinates, mapped to h. The basis of K is in
+        reduced echelon form with unit pivots, so the image of a reduced
+        echelon family is one too, pivot for pivot."""
+        basis = self._kernel._basis_rows()
+        return [sparse_lincomb(((a, basis[j]) for j, a in p), s) for s, p in rows]
+
+    def _in_h(self, rows):
+        """The subspace of h spanned by the reduced echelon rows `rows` of
+        K-coordinates."""
+        return Subspace._from_rref(self.module.algebra.dim, self._from_kernel(rows))
+
+    @cached_property
+    def _contraction_k(self):
+        # column j: i_{k_j} omega for basis vector k_j of K
+        return self._contraction * self._kernel.basis
+
+    @cached_property
     def symplectic(self):
         d1 = differential_matrix(self.module, 1)
-        return kernel_basis(vstack(d1 * self._contraction, self._contraction3))
+        return self._in_h(kernel_basis(d1 * self._contraction_k)._basis_rows())
 
-    # the radical and V^h are the kernels of the two stored solvers
     @cached_property
-    def _lift_solver(self):
-        return LinearSolver(vstack(self._contraction, self._contraction3))
+    def _pairs(self):
+        # echelon rows of the pair kernel P = {(y, v) : i_xi omega = d v},
+        # xi = K y, with the K-coordinates y first: a row whose pivot is a
+        # y column starts a hamiltonian xi, any other row is (0, v), v in V^h
+        return kernel_basis(hstack(self._contraction_k, -self._d0))._basis_rows()
+
+    @cached_property
+    def hamiltonian(self):
+        k = self._kernel.dim
+        ys = [(s, [(j, a) for j, a in p if j < k]) for s, p in self._pairs if p[0][0] < k]
+        return self._in_h(ys)
+
+    @cached_property
+    def invariants(self):
+        # the kernel of d alone: momentum and extend read V^h without P
+        return kernel_basis(self._d0)
+
+    @cached_property
+    def _pairs_v_first(self):
+        # the rows of P as (xi, v), reduced again with the v columns first
+        # and the xi columns after them in reverse order. A row whose pivot
+        # is a v column is (b, x): b runs over the echelon basis of the
+        # admissible vectors, and x is a lift of b that vanishes on the
+        # pivots of the other rows. Those rows are (0, r), r in the radical,
+        # in echelon form for the reversed columns, so their pivots are the
+        # last nonzero columns of the radical: the free columns of
+        # RREF([C; C3]). x is therefore the canonical lift of b.
+        n, m, k = self.module.algebra.dim, self.module.dim, self._kernel.dim
+        pairs = self._pairs
+        xis = self._from_kernel([(s, [(j, a) for j, a in p if j < k]) for s, p in pairs])
+        rows = [
+            _concat((x, (s, [(j - k, a) for j, a in p if j >= k])), n)
+            for x, (s, p) in zip(xis, pairs)
+        ]
+        order = [*range(n, n + m), *range(n - 1, -1, -1)]
+        reduced, pivots = _rref_in_order(rows, order)
+        admissible, lifts, radical = [], [], []
+        for (s, p), pc in zip(reduced, pivots):
+            cut = bisect_left(p, (n,))
+            x = _canon(s, p[:cut])
+            if pc < n:
+                radical.append(x)
+            else:
+                admissible.append(_canon(s, [(j - n, a) for j, a in p[cut:]]))
+                lifts.append(x)
+        return Subspace._from_rref(m, admissible), lifts, radical
+
+    @cached_property
+    def admissible(self):
+        return self._pairs_v_first[0]
 
     @cached_property
     def _lift_matrix(self):
-        # the lift matrix L, stored by columns: row j is the canonical lift of
-        # admissible basis vector j, solved once
-        zero = zero_vector(self._contraction3.nrows)
-        cols = self.admissible.basis.columns()
-        lifts = [self._lift_solver.solve(self._d0.apply(b) + zero) for b in cols]
-        return Matrix._from_sparse(map(_sparse, lifts), self.module.algebra.dim)
+        # row j is the canonical lift of admissible basis vector j
+        return Matrix._from_sparse(self._pairs_v_first[1], self.module.algebra.dim)
+
+    @cached_property
+    def radical(self):
+        return Subspace._span(self.module.algebra.dim, self._pairs_v_first[2])
 
     @cached_property
     def _potential_solver(self):
         return LinearSolver(self._d0)
 
     @cached_property
-    def radical(self):
-        return self._lift_solver.kernel()
-
-    @cached_property
-    def invariants(self):
-        return self._potential_solver.kernel()
-
-    @cached_property
-    def _pairs(self):
-        # pairs (xi, v) with i_xi omega = d v and i_xi d(omega) = 0; the xi
-        # projection is the hamiltonian subalgebra, the v projection the
-        # admissible vectors
-        c3, m = self._contraction3, self.module.dim
-        top = hstack(self._contraction, -1 * self._d0)
-        pairs = kernel_basis(vstack(top, hstack(c3, Matrix.zeros(c3.nrows, m))))
-        return pairs.basis.columns()
-
-    @cached_property
-    def hamiltonian(self):
-        n = self.module.algebra.dim
-        return Subspace.from_vectors(n, [p[:n] for p in self._pairs])
-
-    @cached_property
-    def admissible(self):
-        n = self.module.algebra.dim
-        return Subspace.from_vectors(self.module.dim, [p[n:] for p in self._pairs])
-
-    @cached_property
     def normalizer(self):
+        # xi = K y with [xi, r] in the radical for each r of its basis: in
+        # K-coordinates, the kernel of q [k_j, r] over the basis vectors k_j
+        # of K, q the quotient by the radical
         alg = self.module.algebra
         n = alg.dim
-        stacked = self._contraction3
+        basis = self._kernel._basis_rows()
+        rows = []
         if self.radical.dim:
             q = quotient_map(n, self.radical)
-            for r in self.radical.basis.columns():
-                # xi -> [xi, r] composed with the quotient by the radical
-                cols = [alg.bracket(unit_vector(n, i), r) for i in range(n)]
-                stacked = vstack(stacked, q * Matrix.from_columns(cols, n))
-        return kernel_basis(stacked)
+            for r in self.radical._basis_rows():
+                cols = [alg._sparse_bracket(b, r) for b in basis]
+                rows += (q * Matrix._from_sparse(cols, n).transpose()).sparse_rows
+        return self._in_h(kernel_basis(Matrix._from_sparse(rows, len(basis)))._basis_rows())
 
     @cached_property
     def _oneform_solver(self):
@@ -201,9 +279,14 @@ class HamiltonianAnalysis:
             dim ham     = dim rad + dim d(V_omega)
             dim V_omega = dim V^h + dim d(V_omega)
         """
-        image = Subspace.from_vectors(
+        # d of each admissible basis row, as a sum of columns of d
+        cols = self._d0.transpose().sparse_rows
+        image = Subspace._span(
             cochain_dim(self.module, 1),
-            [self._d0.apply(b) for b in self.admissible.basis.columns()],
+            [
+                sparse_lincomb(((a, cols[j]) for j, a in p), s)
+                for s, p in self.admissible._basis_rows()
+            ],
         )
         dims = {
             "symplectic": self.symplectic.dim,

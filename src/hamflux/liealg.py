@@ -7,8 +7,6 @@ Every subalgebra is presented by spanned_subalgebra, on an ordered list of
 generators; subalgebra is that builder on a subspace's canonical basis.
 """
 
-from math import lcm
-
 from hamflux.errors import (
     AntisymmetryViolation,
     BracketViolation,
@@ -22,7 +20,6 @@ from hamflux.linalg import (
     LinearSolver,
     Matrix,
     Subspace,
-    _canon,
     _checked_row,
     _concat,
     _dense,
@@ -233,15 +230,26 @@ class LieModule:
         return _dense(self._act_row(xs, vs), self.dim)
 
     def _act_row(self, xs, vs):
-        """Scaled row of x . v for scaled rows, as integer sums over one scale."""
+        """Scaled row of x . v for scaled rows: one sum of the columns
+        rho(e_l) e_j, weighted by x_l v_j."""
+        table = self._cache.get("action_columns")
+        if table is None:
+            # per l, the nonzero columns of rho(e_l) as scaled rows
+            table = self._cache["action_columns"] = tuple(
+                {j: c for j, c in enumerate(a.transpose().sparse_rows) if c[1]}
+                for a in self.action
+            )
         (sx, xs), (sv, vs) = xs, vs
-        terms = [(c, self.action[l].sparse_rows) for l, c in xs]
-        den, ints, acc = lcm(*[s for _, a in terms for s, _ in a]), dict(vs), [0] * self.dim
-        for c, rows in terms:
-            for r, (s, p) in enumerate(rows):
-                if p:
-                    acc[r] += c * (den // s) * sum([a * ints[j] for j, a in p if j in ints])
-        return _canon(den * sx * sv, [(r, t) for r, t in enumerate(acc) if t])
+        return sparse_lincomb(
+            (
+                (a * b, col)
+                for l, a in xs
+                if (cols := table[l])
+                for j, b in vs
+                if (col := cols.get(j))
+            ),
+            sx * sv,
+        )
 
     def __eq__(self, other):
         return (

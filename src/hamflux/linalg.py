@@ -391,13 +391,26 @@ def _int_row(row, ncols):
 def _int_rref(rows, ncols):
     """Canonical rows of the rational RREF of scaled rows, and pivot columns.
 
-    Every elimination enters rref_ints here.
+    Every elimination enters rref_ints here. Zero rows hold no pivot, so
+    they are dropped before the rows are made dense.
     """
-    reduced, pivots = rref_ints([_int_row(r, ncols) for r in rows], ncols)
+    reduced, pivots = rref_ints([_int_row(r, ncols) for r in rows if r[1]], ncols)
     return [
         (r[pc], tuple((j, a) for j, a in enumerate(r[pc:], pc) if a))
         for r, pc in zip(reduced, pivots)
     ], pivots
+
+
+def _rref_in_order(rows, order):
+    """_int_rref with the columns eliminated in `order`, a permutation of
+    the column indices: the canonical reduced rows, each in the original
+    columns, and the pivot of each as an original column."""
+    at = {j: p for p, j in enumerate(order)}
+    permuted = [(s, tuple(sorted((at[j], a) for j, a in p))) for s, p in rows]
+    reduced, pivots = _int_rref(permuted, len(order))
+    return [
+        (s, tuple(sorted((order[p], a) for p, a in pairs))) for s, pairs in reduced
+    ], [order[p] for p in pivots]
 
 
 def rref(m):
@@ -510,7 +523,15 @@ class Subspace:
         if not rows:
             return cls.zero(ambient)
         rows, _ = _int_rref(rows, ambient)
-        return cls(ambient, Matrix._from_sparse(rows, ambient).transpose())
+        return cls._from_rref(ambient, rows)
+
+    @classmethod
+    def _from_rref(cls, ambient, rows):
+        """Trusted constructor: `rows` must be the canonical rows of a
+        rational RREF, the basis vectors in order."""
+        sub = cls(ambient, Matrix._from_sparse(rows, ambient).transpose())
+        object.__setattr__(sub, "_rows", tuple(rows))
+        return sub
 
     @classmethod
     def from_columns(cls, m):

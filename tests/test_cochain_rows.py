@@ -23,9 +23,9 @@ from hamflux.cochain import (
     sort_with_sign,
     tuple_basis,
 )
-from hamflux.liealg import LieAlgebra, LieModule, adjoint_module
+from hamflux.liealg import LieModule, adjoint_module
 from hamflux.linalg import _sparse
-from util import assert_scaled_row, heis3, heis_pair_instance, sl2, solvable2
+from util import assert_scaled_row, heis3, heis_pair_instance, rescaled, sl2, solvable2
 
 BASES = [
     lambda: adjoint_module(sl2()),
@@ -42,23 +42,6 @@ big = st.builds(
     st.integers(2, 2**70),
 )
 entry = st.one_of(st.just(F(0)), big)
-
-
-def rescaled(module, lam, mu):
-    """The same module in the bases e'_i = lam_i e_i and v'_a = mu_a v_a:
-    [e'_i, e'_j] has coordinate lam_i lam_j / lam_k c_ij^k at e'_k, and
-    e'_i has matrix entry lam_i mu_b / mu_a rho_i[a, b]."""
-    alg, m = module.algebra, module.dim
-    n, c = alg.dim, alg.structure
-    table = [
-        [tuple(lam[i] * lam[j] / lam[k] * c[i][j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    mats = [
-        [[lam[i] * mu[b] / mu[a] * module.action[i][a, b] for b in range(m)] for a in range(m)]
-        for i in range(n)
-    ]
-    return LieModule(LieAlgebra(table), m, mats)
 
 
 @st.composite

@@ -12,14 +12,18 @@ Instances frozen here (all values derived by hand from the definitions):
    rad = sp = ham = span h; normalizer = span h is proper in sl2.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamflux.hamiltonian
+import hamflux.linalg
 from hamflux.cochain import (
     Cochain,
     cochain_dim,
@@ -44,7 +48,7 @@ from hamflux.hamiltonian import (
     pair_bracket,
 )
 from hamflux.gallery import from_central_extension, matrix_algebra_example, random_instance
-from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule
+from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule, adjoint_module
 from hamflux.linalg import (
     LinearSolver,
     Matrix,
@@ -65,7 +69,15 @@ from hamflux.momentum import (
     solve_momentum,
 )
 from hamflux.problemfile import parse_problem
-from util import heis3, heis3_plus_line, heis_pair_instance, sl2, sl2_adjoint_instance
+from util import (
+    heis3,
+    heis3_plus_line,
+    heis_pair_instance,
+    rational_limit_document,
+    rescaled,
+    sl2,
+    sl2_adjoint_instance,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -363,6 +375,17 @@ def eager_lattice(module, omega):
     }
 
 
+def solver_lift_matrix(module, omega, admissible):
+    """Rows: the canonical lifts of the admissible basis vectors, each
+    solved, free variables zero, by one solver of [C; C3]."""
+    c2, c3 = eager_contraction(omega), eager_contraction(differential(omega))
+    solver = LinearSolver(vstack(c2, c3))
+    d0 = differential_matrix(module, 0)
+    zero = zero_vector(c3.nrows)
+    lifts = [solver.solve(d0.apply(b) + zero) for b in admissible.basis.columns()]
+    return Matrix(lifts, module.algebra.dim)
+
+
 def random_pair(dims, seed):
     bundle = random_instance(dims, seed)
     return bundle.module, bundle.omega
@@ -391,9 +414,32 @@ def test_lazy_attributes_equal_the_eager_formulas(name):
     for attr, value in expected.items():
         assert getattr(an, attr) == value, attr
         assert getattr(an, attr) is getattr(an, attr), attr
-    lift_matrix = vstack(expected["_contraction"], expected["_contraction3"])
-    assert an._lift_solver.matrix == lift_matrix
+    assert an._lift_matrix == solver_lift_matrix(module, omega, an.admissible)
     assert an._potential_solver.matrix == differential_matrix(module, 0)
+
+
+def test_limit_document_sends_the_rows_of_i_xi_d_omega_to_one_elimination(monkeypatch):
+    """On rational_limit_document(2), K = 0: one elimination of the 1,920
+    rows of i_xi d(omega) decides the lattice, and no other elimination has
+    that many nonzero rows or columns."""
+    pf = parse_problem(json.dumps(rational_limit_document(2)))
+    an = analyze(pf.module, pf.omega)
+    c3 = eager_contraction(an.d_omega)
+    assert c3.nrows == 1920
+    calls = []
+    int_rref = hamflux.linalg._int_rref
+
+    def counting(rows, ncols):
+        calls.append((list(rows), ncols))
+        return int_rref(rows, ncols)
+
+    monkeypatch.setattr(hamflux.linalg, "_int_rref", counting)
+    report = an.exactness_report()
+    assert set(report["dims"].values()) == {0}
+    large = [
+        rows for rows, ncols in calls if ncols >= c3.nrows or sum(bool(p) for _, p in rows) >= c3.nrows
+    ]
+    assert large == [list(c3.sparse_rows)]
 
 
 def action_instance(name):
@@ -487,6 +533,11 @@ LIFT_INSTANCES = {
     "central_heis3_plus_line": lambda: bundle_pair(
         from_central_extension(heis3_plus_line(), Subspace.from_vectors(4, [(0, 0, 1, 0)]))
     ),
+    # the same with the radical spanned by (1, 0, -1/2): its first and last
+    # nonzero columns differ, and only the last is free in RREF([C; C3])
+    "central_heis3_plus_line_sheared": lambda: sheared(
+        LIFT_INSTANCES["central_heis3_plus_line"](), 0, 2, F(2)
+    ),
 }
 
 SAMPLE_COEFFS = [F(x) for x in (-2, -1, 0, 1, 3)] + [F(1, 2), F(-2, 3)]
@@ -555,3 +606,151 @@ def test_coordinates_equal_the_dense_reference(name):
                     sub.coords_of(v)
                 continue
             assert sub.coords_of(v) == expected, attr
+
+
+NONZERO_ENTRY = st.sampled_from([F(x) for x in (1, -1, 2)] + [F(1, 2), F(-3, 5)])
+SCALE = st.sampled_from([F(x) for x in (1, -1, 2, 3)] + [F(1, 2), F(-5, 3), F(7, 4)])
+CLOSED_PAIRS = [
+    heis3_trivial,
+    sl2_trivial,
+    rank_deficient_line,
+    point_symplectic,
+    *LIFT_INSTANCES.values(),
+]
+# summands on which a moved omega is rarely closed: over an algebra of dim
+# 2, or heis3 with trivial coefficients, every 2-cochain is closed
+SUMMANDS = [
+    sl2_adjoint_instance,
+    sl2_trivial,
+    lambda: (adjoint_module(heis3()), Cochain.zero(adjoint_module(heis3()), 2)),
+]
+
+
+def rescaled_pair(module, omega, lam, mu):
+    """The module and omega in the bases e'_i = lam_i e_i, v'_a = mu_a v_a,
+    as in util.rescaled: omega(e'_i, e'_j) = lam_i lam_j omega(e_i, e_j)."""
+    new = rescaled(module, lam, mu)
+
+    def value(i, j):
+        return [lam[i] * lam[j] * x / mu[a] for a, x in enumerate(omega.value(i, j))]
+
+    return new, Cochain.from_values(new, 2, value)
+
+
+def direct_sum(first, second):
+    """(h1 + h2, V1 + V2, omega1 + omega2): each algebra acts on its own
+    summand and brackets trivially with the other, and omega vanishes on
+    mixed pairs, so d omega = d omega1 + d omega2."""
+    (mod1, omega1), (mod2, omega2) = first, second
+    n1, n = mod1.algebra.dim, mod1.algebra.dim + mod2.algebra.dim
+    m1, m = mod1.dim, mod1.dim + mod2.dim
+    c1, c2 = mod1.algebra.structure, mod2.algebra.structure
+
+    def bracket(i, j):
+        if i < n1 and j < n1:
+            return c1[i][j] + (0,) * (n - n1)
+        if i >= n1 and j >= n1:
+            return (0,) * n1 + c2[i - n1][j - n1]
+        return (0,) * n
+
+    def action(i):
+        out = [[0] * m for _ in range(m)]
+        rho, off = (mod1.action[i], 0) if i < n1 else (mod2.action[i - n1], m1)
+        for a, row in enumerate(rho.entries):
+            out[off + a][off : off + len(row)] = row
+        return out
+
+    alg = LieAlgebra([[bracket(i, j) for j in range(n)] for i in range(n)])
+    module = LieModule(alg, m, [action(i) for i in range(n)])
+
+    def value(i, j):
+        if i < n1 and j < n1:
+            return omega1.value(i, j) + (0,) * (m - m1)
+        if i >= n1 and j >= n1:
+            return (0,) * m1 + omega2.value(i - n1, j - n1)
+        return (0,) * m
+
+    return module, Cochain.from_values(module, 2, value)
+
+
+def sheared(pair, i, j, t):
+    """The module and omega in the basis e'_j = e_j + t e_i of the algebra,
+    the other e'_k = e_k, which moves subspaces off the coordinate axes."""
+    module, omega = pair
+    alg, n = module.algebra, module.algebra.dim
+    basis = [unit_vector(n, k) for k in range(n)]
+    basis[j] = tuple(x + t * y for x, y in zip(basis[j], basis[i]))
+
+    def coords(w):
+        # w = sum_k c_k e'_k has c_k = w_k except c_i = w_i - t w_j
+        return tuple(x - t * w[j] if k == i else x for k, x in enumerate(w))
+
+    table = [[coords(alg.bracket(x, y)) for y in basis] for x in basis]
+    new = LieModule(LieAlgebra(table), module.dim, [module.action_of(x) for x in basis])
+
+    def value(a, b):
+        return contract(basis[b], contract(basis[a], omega)).coords
+
+    return new, Cochain.from_values(new, 2, value)
+
+
+@st.composite
+def moved(draw, pair):
+    """omega with one or two coordinates moved, which usually leaves it
+    not closed."""
+    module, omega = pair
+    coords = list(omega.coords)
+    if not coords:  # an algebra of dim 1 has no 2-cochains
+        return pair
+    moves = st.dictionaries(st.integers(0, len(coords) - 1), NONZERO_ENTRY, min_size=1, max_size=2)
+    for q, x in draw(moves).items():
+        coords[q] += x
+    return module, Cochain(module, 2, coords)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A random_instance or a rescaled instance, with its closed omega or
+    with omega moved; or the direct sum of one of these, closed, and a
+    small instance with omega moved, in either order; then possibly
+    sheared. K = {xi : i_xi d omega = 0} is h for a closed omega, and often
+    proper otherwise; in a direct sum it holds the hamiltonian elements of
+    the closed summand."""
+    kind = draw(st.sampled_from(["sum", "moved", "sum", "closed"]))
+    if draw(st.booleans()):
+        dims = draw(st.sampled_from([(3, 3), (4, 4), (5, 3), (3, 5)]))
+        bundle = random_instance(dims, draw(st.integers(0, 30)))
+        pair = bundle.module, bundle.omega
+    else:
+        module, omega = draw(st.sampled_from(CLOSED_PAIRS))()
+        lam = draw(st.lists(SCALE, min_size=module.algebra.dim, max_size=module.algebra.dim))
+        mu = draw(st.lists(SCALE, min_size=module.dim, max_size=module.dim))
+        pair = rescaled_pair(module, omega, lam, mu)
+    if kind == "moved":
+        pair = draw(moved(pair))
+    elif kind == "sum":
+        summand = draw(moved(draw(st.sampled_from(SUMMANDS))()))
+        pair = direct_sum(*((summand, pair) if draw(st.booleans()) else (pair, summand)))
+    n = pair[0].algebra.dim
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pair = sheared(pair, i, j, draw(SCALE))
+    return pair
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattice_cases())
+def test_lattice_and_lifts_equal_the_eager_formulas(case):
+    module, omega = case
+    an = analyze(module, omega)
+    expected = eager_lattice(module, omega)
+    for attr, value in expected.items():
+        assert getattr(an, attr) == value, attr
+    admissible = expected["admissible"]
+    assert an._lift_matrix == solver_lift_matrix(module, omega, admissible)
+    d0 = differential_matrix(module, 0)
+    image = Subspace.from_vectors(
+        cochain_dim(module, 1), [d0.apply(b) for b in admissible.basis.columns()]
+    )
+    dims = {attr: value.dim for attr, value in expected.items() if not attr.startswith("_")}
+    assert an.exactness_report()["dims"] == {**dims, "differential_image": image.dim}

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
-from hamflux.liealg import LieAlgebra
+from hamflux.liealg import LieAlgebra, LieModule
 
 
 def assert_scaled_row(row, ncols):
@@ -18,6 +18,23 @@ def assert_scaled_row(row, ncols):
     assert all(0 <= j < ncols for j in cols)
     assert all(type(a) is int and a != 0 for _, a in pairs)
     assert gcd(s, *[a for _, a in pairs]) == 1
+
+
+def rescaled(module, lam, mu):
+    """The same module in the bases e'_i = lam_i e_i and v'_a = mu_a v_a:
+    [e'_i, e'_j] has coordinate lam_i lam_j / lam_k c_ij^k at e'_k, and
+    e'_i has matrix entry lam_i mu_b / mu_a rho_i[a, b]."""
+    alg, m = module.algebra, module.dim
+    n, c = alg.dim, alg.structure
+    table = [
+        [tuple(lam[i] * lam[j] / lam[k] * c[i][j][k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    mats = [
+        [[lam[i] * mu[b] / mu[a] * module.action[i][a, b] for b in range(m)] for a in range(m)]
+        for i in range(n)
+    ]
+    return LieModule(LieAlgebra(table), m, mats)
 
 
 def z3(*entries):
