@@ -9,11 +9,16 @@ is implemented for degrees 0..2 via the usual alternating sum
     (d w)(x, y, z)  = x.w(y,z) - y.w(x,z) + z.w(x,y)
                       - w([x,y], z) + w([x,z], y) - w([y,z], x)
 
-assembled directly as a matrix in the tuple coordinates, so kernels and
-images of d are ordinary exact linear algebra, and d c is that matrix times
-the row of c. Contraction and the Lie
-derivative follow the standard conventions (i_xi c)(...) = c(xi, ...) and
-(L_xi c)(y_1..y_p) = xi.c(y_1..y_p) - sum_i c(y_1, .., [xi, y_i], .., y_p).
+written as one kernel that scatters column (t, b) of d_p, for an increasing
+tuple t and a module component b: through the action onto the tuples that
+add one index to t, and through the brackets onto the tuples they reach.
+d c sums the columns of the nonzeros of c, each term over the scale of the
+action or structure constant it carries, and applies the scale of c once.
+differential_matrix scatters every column into a matrix, cached per module,
+for the complexes whose kernels and images are eliminated. Contraction and
+the Lie derivative follow the standard conventions (i_xi c)(...) =
+c(xi, ...) and (L_xi c)(y_1..y_p) = xi.c(y_1..y_p) - sum_i c(y_1, ..,
+[xi, y_i], .., y_p).
 """
 
 from bisect import bisect_left
@@ -223,63 +228,149 @@ def _fill(c, module, degree, row):
     object.__setattr__(c, "sparse_row", row)
 
 
+@lru_cache(maxsize=None)
+def _faces(n, p):
+    """Per increasing p-tuple t, ((t_r, (-1)^r, k), ...) over its positions
+    r, t without t_r being the k-th increasing (p - 1)-tuple."""
+    tuples, _ = tuple_basis(n, p)
+    _, index = tuple_basis(n, max(p - 1, 0))  # read only when t has a face
+    return tuple(
+        tuple((x, -1 if r % 2 else 1, index[t[:r] + t[r + 1 :]]) for r, x in enumerate(t))
+        for t in tuples
+    )
+
+
+@lru_cache(maxsize=None)
+def _cofaces(n, p):
+    """Per increasing p-tuple t, {x: ((-1)^i, k)} over the x not in t, t with
+    x inserted at position i being the k-th increasing (p + 1)-tuple."""
+    tuples, _ = tuple_basis(n, p)
+    _, index = tuple_basis(n, p + 1)
+    out = []
+    for t in tuples:
+        cofaces, i = {}, 0  # i entries of t are below x
+        for x in range(n):
+            if i < p and t[i] == x:
+                i += 1
+            else:
+                cofaces[x] = (-1 if i % 2 else 1, index[t[:i] + (x,) + t[i:]])
+        out.append(cofaces)
+    return tuple(out)
+
+
+def _bracket_terms(module, p):
+    """Per increasing p-tuple t, the terms (k, c, s) of d_p that come from
+    brackets: column (t, b) has c / s at component b of the k-th increasing
+    (p + 1)-tuple u. They depend on the algebra alone and are cached per
+    module and degree.
+
+    With t = z inserted into rest at position r, and u = x < y inserted into
+    rest at positions i < j, c / s is (-1)^(i + j + r) times the z-component
+    of [e_x, e_y]: the term c([u_i, u_j], rest) of (d c)(u) reads c(e_z, rest)
+    = (-1)^r c(t).
+    """
+    key = ("dbrackets", p)
+    cache = module._cache
+    if key not in cache:
+        alg = module.algebra
+        n = alg.dim
+        # (x, y, c, s) for x < y, listed under each z with [e_x, e_y]_z = c / s
+        along = [[] for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                s, pairs = alg._sparse[x][y]
+                for z, c in pairs:
+                    along[z].append((x, y, c, s))
+        lower = _cofaces(n, p - 1) if p else ()
+        upper = _cofaces(n, p)
+        table = []
+        for faces in _faces(n, p):
+            terms = []
+            for z, sign, rest in faces:
+                below = lower[rest]
+                for x, y, c, s in along[z]:
+                    if x in below:
+                        sx, k = below[x]
+                        above = upper[k]
+                        if y in above:
+                            sy, u = above[y]
+                            terms.append((u, sign * sx * sy * c, s))
+            table.append(tuple(terms))
+        cache[key] = tuple(table)
+    return cache[key]
+
+
+def _scatter(module, p, pairs):
+    """(terms, den) for the columns of d_p weighted by the (q, a) in pairs:
+    a term (q, r, x, s) adds x / s, from a times column q = (tuple t,
+    component b), at coordinate r of C^(p+1), and den is the lcm of the
+    scales s of the terms. Each s is the scale of the action or structure
+    constant that the term carries.
+
+        (d c)(u) = sum_i (-1)^i u_i . c(u without u_i)
+                 + sum_{i<j} (-1)^(i+j) c([u_i, u_j], u without u_i, u_j)
+    """
+    n, m = module.algebra.dim, module.dim
+    cofaces, brackets = _cofaces(n, p), _bracket_terms(module, p)
+    columns = module._action_columns()
+    terms = []
+    add = terms.append
+    for q, a in pairs:
+        k, b = divmod(q, m)
+        # (-1)^i rho(e_x) e_b on the block of t with x inserted at position i
+        for x, (sign, u) in cofaces[k].items():
+            col = columns[x].get(b)
+            if col:
+                s, entries = col
+                base, w = u * m, sign * a
+                for j, v in entries:
+                    add((q, base + j, w * v, s))
+        # a multiple of e_b on the block of u, per bracket term
+        for u, c, s in brackets[k]:
+            add((q, u * m + b, c * a, s))
+    return terms, lcm(*{t[3] for t in terms})
+
+
+def _differential_row(module, p, row):
+    """Scaled row of d_p applied to the p-cochain of the scaled row `row`:
+    the columns of its nonzeros, summed over the lcm of their own scales,
+    with the scale of `row` applied once."""
+    terms, den = _scatter(module, p, row[1])
+    acc = {}
+    for _, r, x, s in terms:
+        acc[r] = acc.get(r, 0) + x * (den // s)
+    return _canon(row[0] * den, [(r, x) for r, x in sorted(acc.items()) if x])
+
+
 def differential_matrix(module, p):
-    """Matrix of d: C^p -> C^(p+1) in tuple coordinates (cached per module)."""
+    """Matrix of d: C^p -> C^(p+1) in tuple coordinates (cached per module),
+    for the complexes that are eliminated; `differential` applies d to one
+    cochain without it."""
     if not 0 <= p <= MAX_DEGREE - 1:
         raise UnsupportedDegree(f"differential undefined in degree {p}")
     cache = module._cache
     key = ("dmat", p)
     if key not in cache:
-        cache[key] = _assemble_differential(module, p)
+        ncols = cochain_dim(module, p)
+        terms, den = _scatter(module, p, [(q, 1) for q in range(ncols)])
+        # the terms come in increasing q, so each row's dict is in column order
+        rows = [{} for _ in range(cochain_dim(module, p + 1))]
+        for q, r, x, s in terms:
+            row = rows[r]
+            row[q] = row.get(q, 0) + x * (den // s)
+        cache[key] = Matrix._from_sparse(
+            [_canon(den, [(q, x) for q, x in row.items() if x]) for row in rows], ncols
+        )
     return cache[key]
-
-
-def _assemble_differential(module, p):
-    n = module.algebra.dim
-    m = module.dim
-    out_tuples, _ = tuple_basis(n, p + 1)
-    in_tuples, in_index = tuple_basis(n, p)
-    action = [a.sparse_rows for a in module.action]
-    struct = module.algebra._sparse
-    # every entry is an integer over the common scale of the action rows and
-    # the structure constants
-    den = lcm(*[s for a in action for s, _ in a], *[s for row in struct for s, _ in row])
-    # one {column: int} dict per output row; entries that cancel are dropped
-    # when the rows are sorted into the matrix
-    rows = [{} for _ in range(len(out_tuples) * m)]
-    # (d c)(t) = sum_i (-1)^i t_i . c(t without t_i)
-    #          + sum_{i<j} (-1)^(i+j) c([t_i, t_j], t without t_i, t_j)
-    for pos, t in enumerate(out_tuples):
-        block = rows[pos * m : (pos + 1) * m]
-        for i, x in enumerate(t):
-            # (-1)^i rho(e_x) on the block of t without t_i
-            ib = in_index[t[:i] + t[i + 1 :]] * m
-            for row, (s, action_row) in zip(block, action[x]):
-                f = (-1) ** i * (den // s)
-                for b, v in action_row:
-                    row[ib + b] = row.get(ib + b, 0) + f * v
-            for j in range(i + 1, p + 1):
-                rest = t[:i] + t[i + 1 : j] + t[j + 1 :]
-                s, pairs = struct[x][t[j]]
-                for k, coef in pairs:
-                    # a multiple of the identity on the block of (k,) + rest
-                    sign, key = sort_with_sign((k,) + rest)
-                    if sign:
-                        c, ib = sign * (-1) ** (i + j) * (den // s) * coef, in_index[key] * m
-                        for a, row in enumerate(block):
-                            row[ib + a] = row.get(ib + a, 0) + c
-    return Matrix._from_sparse(
-        (_canon(den, [(j, x) for j, x in sorted(row.items()) if x]) for row in rows),
-        len(in_tuples) * m,
-    )
 
 
 def differential(c):
     """d c as a Cochain one degree up."""
     if c.degree >= MAX_DEGREE:
         raise UnsupportedDegree(f"cannot differentiate degree {c.degree}")
-    mat = differential_matrix(c.module, c.degree)
-    return Cochain._from_row(c.module, c.degree + 1, mat._apply_row(c.sparse_row))
+    return Cochain._from_row(
+        c.module, c.degree + 1, _differential_row(c.module, c.degree, c.sparse_row)
+    )
 
 
 def contract(xi, c):
@@ -303,14 +394,12 @@ def _contraction_terms(c):
     """(coordinate q of C^(p-1), index i, integer x) for each term of the
     contractions i_{e_i} c, over the scale of c: c(e_i, s)_a = (-1)^k c(t)_a,
     t the increasing tuple with t_k = i and s the rest of t."""
-    n, m = c.module.algebra.dim, c.module.dim
-    tuples, _ = tuple_basis(n, c.degree)
-    _, out_index = tuple_basis(n, c.degree - 1)
+    m = c.module.dim
+    faces = _faces(c.module.algebra.dim, c.degree)
     for q, x in c.sparse_row[1]:
         pos, a = divmod(q, m)
-        t = tuples[pos]
-        for k, i in enumerate(t):
-            yield out_index[t[:k] + t[k + 1 :]] * m + a, i, -x if k % 2 else x
+        for i, sign, rest in faces[pos]:
+            yield rest * m + a, i, sign * x
 
 
 def contraction_matrix(c):

@@ -24,7 +24,8 @@ canonical:
     K            h when d omega = 0, with no elimination; otherwise the
                  kernel of the contraction matrix of d omega, the only
                  elimination that sees its rows
-    symplectic   the kernel of xi -> d(i_xi omega) on K
+    symplectic   the kernel of xi -> d(i_xi omega) on K, d applied to each
+                 column i_xi omega without a matrix of d
     pair kernel  P = {(xi, v) : xi in K, i_xi omega = d v}, eliminated once;
                  of its echelon rows with the xi columns first, those with a
                  pivot among the xi columns span ham, the others are (0, v)
@@ -50,6 +51,7 @@ from functools import cached_property
 from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
+    _differential_row,
     cochain_dim,
     cohomology,
     contract,
@@ -132,8 +134,14 @@ class HamiltonianAnalysis:
 
     @cached_property
     def symplectic(self):
-        d1 = differential_matrix(self.module, 1)
-        return self._in_h(kernel_basis(d1 * self._contraction_k)._basis_rows())
+        # K-coordinates y with d(i_xi omega) = 0, xi = K y: the kernel of the
+        # matrix whose columns are d of the columns of _contraction_k
+        cols = [
+            _differential_row(self.module, 1, c)
+            for c in self._contraction_k.transpose().sparse_rows
+        ]
+        m = Matrix._from_sparse(cols, cochain_dim(self.module, 2)).transpose()
+        return self._in_h(kernel_basis(m)._basis_rows())
 
     @cached_property
     def _pairs(self):

@@ -229,16 +229,21 @@ class LieModule:
         xs, vs = _checked_row(x, self.algebra.dim), _checked_row(v, self.dim)
         return _dense(self._act_row(xs, vs), self.dim)
 
-    def _act_row(self, xs, vs):
-        """Scaled row of x . v for scaled rows: one sum of the columns
-        rho(e_l) e_j, weighted by x_l v_j."""
+    def _action_columns(self):
+        """Per l, {j: rho(e_l) e_j as a scaled row} over the nonzero columns
+        of rho(e_l), built once per module."""
         table = self._cache.get("action_columns")
         if table is None:
-            # per l, the nonzero columns of rho(e_l) as scaled rows
             table = self._cache["action_columns"] = tuple(
                 {j: c for j, c in enumerate(a.transpose().sparse_rows) if c[1]}
                 for a in self.action
             )
+        return table
+
+    def _act_row(self, xs, vs):
+        """Scaled row of x . v for scaled rows: one sum of the columns
+        rho(e_l) e_j, weighted by x_l v_j."""
+        table = self._action_columns()
         (sx, xs), (sv, vs) = xs, vs
         return sparse_lincomb(
             (

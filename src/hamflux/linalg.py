@@ -326,20 +326,6 @@ class Matrix:
             out.append(Fraction(t, s * den) if t else _ZERO)
         return tuple(out)
 
-    def _apply_row(self, row):
-        """Canonical row of the product with the vector of the scaled row
-        `row`: integer sums, each row's over its own scale."""
-        den, pairs = row
-        if not pairs:
-            return _ZERO_ROW
-        ints = dict(pairs)
-        out = []
-        for i, (s, r) in enumerate(self.sparse_rows):
-            t = sum([a * ints[j] for j, a in r if j in ints])
-            if t:
-                out.append((i, t, s * den))
-        return _gather(out)
-
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
         for i, (s, r) in enumerate(self.sparse_rows):

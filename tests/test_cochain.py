@@ -1,7 +1,7 @@
-"""Cochain calculus: the matrix-assembled differential is checked against a
-naive evaluator written straight from the alternating-sum formula, and the
-operator identities (d^2 = 0, Cartan, commutation relations) are exercised on
-several modules.
+"""Cochain calculus: the differential, applied to a cochain and assembled as
+a matrix, is checked against a naive evaluator written straight from the
+alternating-sum formula, and the operator identities (d^2 = 0, Cartan,
+commutation relations) are exercised on several modules.
 """
 
 import random
@@ -27,7 +27,7 @@ from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.gallery import random_instance
 from hamflux.liealg import LieAlgebra, LieModule, adjoint_module
 from hamflux.linalg import Matrix, Subspace, unit_vector, vec_add, vec_scale, zero_vector
-from util import heis3, heis_pair_instance, sl2, solvable2
+from util import heis3, heis_pair_instance, rescaled, sl2, solvable2
 
 
 def naive_differential(c):
@@ -79,12 +79,33 @@ def sample_cochain(module, degree, salt=1):
     return Cochain(module, degree, [F((i * salt) % 7 - 3, 1 + (i % 3)) for i in range(dim)])
 
 
-@pytest.mark.parametrize("mod_idx", range(5))
+def differential_modules():
+    """sample_modules, then two of them rescaled so that the action and
+    structure constants have scales > 1, and three edge shapes: a 1-dim
+    algebra, with no (p + 1)-tuples for p = 1, 2, a 0-dim module and a 0-dim
+    algebra. (sample module 2 has n = 2, so it has no triples either.)"""
+    lam, mu = (F(2), F(3, 5), F(7, 4)), (F(1, 3), F(5), F(-2, 7))
+    return sample_modules() + [
+        rescaled(adjoint_module(sl2()), lam, mu),
+        rescaled(heis_pair_instance()[0], lam[:2], mu),
+        LieModule(LieAlgebra.abelian(1), 2, [[[F(1, 2), 2], [0, 3]]]),
+        LieModule.trivial(heis3(), 0),
+        LieModule(LieAlgebra.abelian(0), 2, []),
+    ]
+
+
+@pytest.mark.parametrize("mod_idx", range(10))
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_differential_matches_naive_formula(mod_idx, degree):
     # d of the i-th basis cochain is column i of the matrix, so comparing every
-    # column catches a wrong sign on any single term of the alternating sum
-    mod = sample_modules()[mod_idx]
+    # column catches a wrong sign on any single term of the alternating sum.
+    # differential(c) applies d without the matrix, so it is compared with
+    # the oracle on its own, on a dense and on a sparse c
+    mod = differential_modules()[mod_idx]
+    dense = sample_cochain(mod, degree)
+    sparse = Cochain(mod, degree, [x if i % 3 == 1 else 0 for i, x in enumerate(dense.coords)])
+    for c in (dense, sparse):
+        assert differential(c) == naive_differential(c)
     dim = cochain_dim(mod, degree)
     cols = [
         naive_differential(Cochain(mod, degree, unit_vector(dim, i))).coords

@@ -275,21 +275,16 @@ def test_pullbacks_to_a_module_of_dim_0():
         assert abelian.kernel_dim == 0 and abelian.total == zeta.source
 
 
-def test_sl3_pipeline_assembles_the_degree_2_differential_once(monkeypatch, tmp_path):
+def test_sl3_pipeline_assembles_no_degree_1_or_2_differential(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    assembled = []
-    assemble = hamflux.cochain._assemble_differential
-
-    def counting(module, p):
-        assembled.append((module, p))
-        return assemble(module, p)
-
-    monkeypatch.setattr(hamflux.cochain, "_assemble_differential", counting)
     result = workloads.pipeline_op(workloads.pipeline_setup(1, tmp_path))
-    module = result[1].analysis.module
-    # compared by value: a copy of the module would assemble it again
-    assert [m for m, p in assembled if p == 2 and m == module] == [module]
+    # d omega, sp, omega_g and tau apply d to cochains; only the matrices
+    # that are eliminated are assembled, and none of them is d_1 or d_2 of
+    # the analysis module, on which omega_g and tau live for this zeta
+    cache = result[1].analysis.module._cache
+    assert result[2].module is result[1].analysis.module
+    assert ("dmat", 1) not in cache and ("dmat", 2) not in cache
 
 
 def test_sl2_adjoint_momentum_is_identity(sl2adj):
@@ -592,15 +587,33 @@ def assert_check_fails(fn, arg, message):
     assert str(err.value) == message
 
 
+def break_the_degree_2_differential(monkeypatch, c):
+    """Plant, in the module of the 2-cochain c, bracket terms of d_2 under
+    which d c != 0: the block of the first tuple where c is nonzero also
+    goes, with coefficient 1, to the first increasing triple."""
+    module = c.module
+    k = c.sparse_row[1][0][0] // module.dim
+    table = list(hamflux.cochain._bracket_terms(module, 2))
+    table[k] += ((0, 1, 1),)
+    monkeypatch.setitem(module._cache, ("dbrackets", 2), tuple(table))
+
+
 def test_tau_closedness_is_checked(monkeypatch):
     momentum = exact_tau_instance()
-    tau = obstruction_cocycle(momentum)
-    # a degree-2 differential of the pullback module whose first row pairs
-    # with tau to |tau|^2 != 0
-    d2 = differential_matrix(tau.module, 2)
-    broken = Matrix([tau.coords] + [(0,) * d2.ncols] * (d2.nrows - 1))
-    monkeypatch.setitem(tau.module._cache, ("dmat", 2), broken)
+    break_the_degree_2_differential(monkeypatch, obstruction_cocycle(momentum))
     assert_check_fails(obstruction_cocycle, fresh(momentum), "obstruction cocycle is not closed")
+
+
+def test_omega_g_closedness_is_checked(monkeypatch):
+    momentum = exact_tau_instance()
+    analysis = analyze(momentum.analysis.module, momentum.analysis.omega)
+    # zeta is the identity, so omega_g is omega, on the same module
+    break_the_degree_2_differential(monkeypatch, analysis.omega)
+    assert_check_fails(
+        lambda zeta: pullback_cocycle(analysis, zeta),
+        momentum.zeta,
+        "pullback cocycle is not closed; zeta image not symplectic",
+    )
 
 
 def test_tau_is_checked_against_d_j_plus_omega_g(monkeypatch):
