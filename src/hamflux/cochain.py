@@ -1,33 +1,36 @@
 """Alternating cochains on a Lie algebra with module coefficients.
 
 Degrees 0..3 are stored, each cochain as one canonical scaled integer row
-over its coordinates on strictly increasing index tuples; the differential
-is implemented for degrees 0..2 via the usual alternating sum
+per strictly increasing index tuple: its value on that tuple, over a scale
+of its own. The differential is implemented for degrees 0..2 via the usual
+alternating sum
 
     (d v)(x)        = x . v
     (d a)(x, y)     = x . a(y) - y . a(x) - a([x, y])
     (d w)(x, y, z)  = x.w(y,z) - y.w(x,z) + z.w(x,y)
                       - w([x,y], z) + w([x,z], y) - w([y,z], x)
 
-written as one kernel that scatters column (t, b) of d_p, for an increasing
-tuple t and a module component b: through the action onto the tuples that
-add one index to t, and through the brackets onto the tuples they reach.
-d c sums the columns of the nonzeros of c, each term over the scale of the
-action or structure constant it carries, and applies the scale of c once.
-differential_matrix scatters every column into a matrix, cached per module,
-for the complexes whose kernels and images are eliminated. Contraction and
+written as one kernel that scatters entry b of the value on an increasing
+tuple t: through the action onto the tuples that add one index to t, and
+through the brackets onto the tuples they reach. d c sums, per tuple one
+degree up, the terms of the nonzeros of c, each over the scale of its row
+times that of the action or structure constant it carries.
+differential_matrix scatters every unit entry into a matrix, cached per
+module, for the complexes whose kernels and images are eliminated; those
+matrices act on coords, the values listed tuple by tuple. Contraction and
 the Lie derivative follow the standard conventions (i_xi c)(...) =
 c(xi, ...) and (L_xi c)(y_1..y_p) = xi.c(y_1..y_p) - sum_i c(y_1, ..,
 [xi, y_i], .., y_p).
 """
 
-from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.linalg import (
+    _ZERO,
     _ZERO_ROW,
     Matrix,
     Subspace,
@@ -73,8 +76,7 @@ def sort_with_sign(idx):
 
 
 def cochain_dim(module, p):
-    tuples, _ = tuple_basis(module.algebra.dim, p)
-    return len(tuples) * module.dim
+    return comb(module.algebra.dim, p) * module.dim
 
 
 def _checked_degree(degree):
@@ -84,31 +86,35 @@ def _checked_degree(degree):
 
 
 class Cochain:
-    """Alternating p-cochain stored as one canonical scaled integer row.
+    """Alternating p-cochain stored as one canonical scaled integer row per
+    increasing p-tuple.
 
-    sparse_row is (s, ((q, a), ...)) in the form of Matrix.sparse_rows over
-    the C(n, p) * module.dim coordinates: coordinate k * module.dim + r is
-    component r of the value on the k-th increasing p-tuple. Cochain(module,
-    degree, coords) coerces and checks dense input; Cochain._from_row takes
-    a row the library built itself. coords is the dense Fraction view,
-    derived on each access like Matrix.entries.
+    rows[k] is the value on the k-th increasing p-tuple, module.dim entries
+    in the form of Matrix.sparse_rows. Cochain(module, degree, coords)
+    coerces and checks dense input; Cochain._from_rows takes rows the
+    library built itself. coords is the dense Fraction view, the values
+    listed tuple by tuple, derived on each access like Matrix.entries.
     """
 
-    __slots__ = ("module", "degree", "sparse_row")
+    __slots__ = ("module", "degree", "rows")
 
     def __init__(self, module, degree, coords):
         _checked_degree(degree)
         coords = vector(coords)
         if len(coords) != cochain_dim(module, degree):
             raise ValueError("coordinate length mismatch")
-        _fill(self, module, degree, _sparse(coords))
+        m = module.dim
+        count = comb(module.algebra.dim, degree)
+        rows = tuple(_sparse(coords[k * m : k * m + m]) for k in range(count))
+        _fill(self, module, degree, rows)
 
     @classmethod
-    def _from_row(cls, module, degree, row):
-        """Trusted constructor: `row` must be a canonical scaled row of the
-        right length and degree within 0..MAX_DEGREE."""
+    def _from_rows(cls, module, degree, rows):
+        """Trusted constructor: `rows` must be a tuple of one canonical
+        scaled row of length module.dim per increasing tuple, and degree
+        within 0..MAX_DEGREE."""
         c = object.__new__(cls)
-        _fill(c, module, degree, row)
+        _fill(c, module, degree, rows)
         return c
 
     def __setattr__(self, name, value):
@@ -116,21 +122,31 @@ class Cochain:
 
     @property
     def coords(self):
-        """Dense coordinates of Fractions, derived from the stored row."""
-        return _dense(self.sparse_row, cochain_dim(self.module, self.degree))
+        """Dense coordinates of Fractions, derived from the stored rows."""
+        m = self.module.dim
+        out = [_ZERO] * (m * len(self.rows))
+        for k, (s, pairs) in enumerate(self.rows):
+            for j, a in pairs:
+                out[k * m + j] = Fraction(a, s)
+        return tuple(out)
 
     @classmethod
     def zero(cls, module, degree):
-        return cls._from_row(module, _checked_degree(degree), _ZERO_ROW)
+        count = comb(module.algebra.dim, _checked_degree(degree))
+        return cls._from_rows(module, degree, (_ZERO_ROW,) * count)
 
     @classmethod
     def from_values(cls, module, degree, fn):
-        """Build from a callable on increasing tuples."""
-        tuples, _ = tuple_basis(module.algebra.dim, degree)
-        coords = []
-        for t in tuples:
-            coords.extend(vector(fn(*t)))
-        return cls(module, degree, coords)
+        """Build from a callable on increasing tuples; every value must have
+        module.dim entries."""
+        m = module.dim
+        rows = []
+        for t in tuple_basis(module.algebra.dim, _checked_degree(degree))[0]:
+            val = vector(fn(*t))
+            if len(val) != m:
+                raise ValueError(f"value at {t} does not have {m} entries")
+            rows.append(_sparse(val))
+        return cls._from_rows(module, degree, tuple(rows))
 
     @classmethod
     def from_dict(cls, module, degree, entries):
@@ -139,8 +155,8 @@ class Cochain:
         Every key must have `degree` indices and every value module.dim
         entries."""
         m = module.dim
-        _, index = tuple_basis(module.algebra.dim, degree)
-        terms = []
+        _, index = tuple_basis(module.algebra.dim, _checked_degree(degree))
+        terms = [[] for _ in index]  # (sign, value row) per increasing tuple
         for t, val in entries.items():
             if len(t) != degree:
                 raise ValueError(f"index tuple {t} does not have {degree} indices")
@@ -152,18 +168,8 @@ class Cochain:
                 if any(val):
                     raise ValueError(f"repeated indices {t} with nonzero value")
                 continue
-            s, pairs = _sparse(val)
-            base = index[key] * m
-            terms.append((sign, (s, tuple((base + j, a) for j, a in pairs))))
-        return cls._from_row(module, _checked_degree(degree), sparse_lincomb(terms))
-
-    def _value_row(self, k):
-        """Scaled row of the value on the k-th increasing tuple."""
-        m = self.module.dim
-        s, pairs = self.sparse_row
-        lo = bisect_left(pairs, (k * m,))
-        hi = bisect_left(pairs, ((k + 1) * m,), lo)
-        return _canon(s, [(q - k * m, a) for q, a in pairs[lo:hi]])
+            terms[index[key]].append((sign, _sparse(val)))
+        return cls._from_rows(module, degree, tuple(map(sparse_lincomb, terms)))
 
     def value(self, *idx):
         """Value on basis elements, any index order; zero on repeats."""
@@ -176,11 +182,11 @@ class Cochain:
         if sign == 0:
             return zero_vector(self.module.dim)
         _, index = tuple_basis(n, self.degree)
-        row = self._value_row(index[key])
+        row = self.rows[index[key]]
         return _dense(row if sign == 1 else _neg(row), self.module.dim)
 
     def is_zero(self):
-        return not self.sparse_row[1]
+        return not any(pairs for _, pairs in self.rows)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -190,16 +196,16 @@ class Cochain:
 
     def _combine(self, other, sign):
         self._compatible(other)
-        row = sparse_lincomb(((1, self.sparse_row), (sign, other.sparse_row)))
-        return Cochain._from_row(self.module, self.degree, row)
+        rows = [sparse_lincomb(((1, a), (sign, b))) for a, b in zip(self.rows, other.rows)]
+        return Cochain._from_rows(self.module, self.degree, tuple(rows))
 
     def __neg__(self):
-        return Cochain._from_row(self.module, self.degree, _neg(self.sparse_row))
+        return Cochain._from_rows(self.module, self.degree, tuple(map(_neg, self.rows)))
 
     def __rmul__(self, c):
         c = rat(c)
-        row = _times(self.sparse_row, c) if c else _ZERO_ROW
-        return Cochain._from_row(self.module, self.degree, row)
+        rows = tuple(_times(r, c) if c else _ZERO_ROW for r in self.rows)
+        return Cochain._from_rows(self.module, self.degree, rows)
 
     def _compatible(self, other):
         if self.module is not other.module and self.module != other.module:
@@ -211,21 +217,21 @@ class Cochain:
         return (
             isinstance(other, Cochain)
             and self.degree == other.degree
-            and self.sparse_row == other.sparse_row
+            and self.rows == other.rows
             and self.module == other.module
         )
 
     def __hash__(self):
-        return hash((self.degree, self.sparse_row))
+        return hash((self.degree, self.rows))
 
     def __repr__(self):
         return f"Cochain(degree {self.degree}, {cochain_dim(self.module, self.degree)} coords)"
 
 
-def _fill(c, module, degree, row):
+def _fill(c, module, degree, rows):
     object.__setattr__(c, "module", module)
     object.__setattr__(c, "degree", degree)
-    object.__setattr__(c, "sparse_row", row)
+    object.__setattr__(c, "rows", rows)
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +248,9 @@ def _faces(n, p):
 
 @lru_cache(maxsize=None)
 def _cofaces(n, p):
-    """Per increasing p-tuple t, {x: ((-1)^i, k)} over the x not in t, t with
-    x inserted at position i being the k-th increasing (p + 1)-tuple."""
+    """Per increasing p-tuple t, {x: ((-1)^i, k)} over the x not in t, in
+    increasing order, t with x inserted at position i being the k-th
+    increasing (p + 1)-tuple."""
     tuples, _ = tuple_basis(n, p)
     _, index = tuple_basis(n, p + 1)
     out = []
@@ -260,9 +267,9 @@ def _cofaces(n, p):
 
 def _bracket_terms(module, p):
     """Per increasing p-tuple t, the terms (k, c, s) of d_p that come from
-    brackets: column (t, b) has c / s at component b of the k-th increasing
-    (p + 1)-tuple u. They depend on the algebra alone and are cached per
-    module and degree.
+    brackets: entry b of the value on t adds c / s times itself at entry b
+    of the value on the k-th increasing (p + 1)-tuple u. They depend on the
+    algebra alone and are cached per module and degree.
 
     With t = z inserted into rest at position r, and u = x < y inserted into
     rest at positions i < j, c / s is (-1)^(i + j + r) times the z-component
@@ -300,12 +307,13 @@ def _bracket_terms(module, p):
     return cache[key]
 
 
-def _scatter(module, p, pairs):
-    """(terms, den) for the columns of d_p weighted by the (q, a) in pairs:
-    a term (q, r, x, s) adds x / s, from a times column q = (tuple t,
-    component b), at coordinate r of C^(p+1), and den is the lcm of the
-    scales s of the terms. Each s is the scale of the action or structure
-    constant that the term carries.
+def _scatter(module, p, nonzeros):
+    """Terms (q, u, j, x, s) of d_p applied to the entries a / s over the
+    (q, a, s) in nonzeros, q a coordinate of coords, entry b of the value on
+    the k-th increasing p-tuple t for (k, b) = divmod(q, module.dim): a term
+    adds x / s at entry j of the value on the u-th increasing (p + 1)-tuple,
+    s being the scale of the entry times that of the action or structure
+    constant the term carries.
 
         (d c)(u) = sum_i (-1)^i u_i . c(u without u_i)
                  + sum_{i<j} (-1)^(i+j) c([u_i, u_j], u without u_i, u_j)
@@ -315,62 +323,78 @@ def _scatter(module, p, pairs):
     columns = module._action_columns()
     terms = []
     add = terms.append
-    for q, a in pairs:
+    for q, a, s in nonzeros:
         k, b = divmod(q, m)
-        # (-1)^i rho(e_x) e_b on the block of t with x inserted at position i
+        # (-1)^i rho(e_x) e_b on the value on t with x inserted at position i
         for x, (sign, u) in cofaces[k].items():
             col = columns[x].get(b)
             if col:
-                s, entries = col
-                base, w = u * m, sign * a
+                t, entries = col
+                w, st = sign * a, s * t
                 for j, v in entries:
-                    add((q, base + j, w * v, s))
-        # a multiple of e_b on the block of u, per bracket term
-        for u, c, s in brackets[k]:
-            add((q, u * m + b, c * a, s))
-    return terms, lcm(*{t[3] for t in terms})
+                    add((q, u, j, w * v, st))
+        # a multiple of e_b on the value on u, per bracket term
+        for u, c, t in brackets[k]:
+            add((q, u, b, c * a, s * t))
+    return terms
 
 
-def _differential_row(module, p, row):
-    """Scaled row of d_p applied to the p-cochain of the scaled row `row`:
-    the columns of its nonzeros, summed over the lcm of their own scales,
-    with the scale of `row` applied once."""
-    terms, den = _scatter(module, p, row[1])
+def _summed(entries, nrows, ncols):
+    """Canonical rows of the sums of the x / s over (row, column, x, s)
+    entries, in any order and with positions repeating, each row over the
+    lcm of the scales of its own entries."""
+    dens = [1] * nrows
+    for i, _, _, s in entries:
+        if dens[i] % s:
+            dens[i] = lcm(dens[i], s)
     acc = {}
-    for _, r, x, s in terms:
-        acc[r] = acc.get(r, 0) + x * (den // s)
-    return _canon(row[0] * den, [(r, x) for r, x in sorted(acc.items()) if x])
+    for i, j, x, s in entries:
+        key = i * ncols + j
+        acc[key] = acc.get(key, 0) + x * (dens[i] // s)
+    rows = [[] for _ in range(nrows)]
+    for key, x in sorted(acc.items()):
+        if x:
+            i, j = divmod(key, ncols)
+            rows[i].append((j, x))
+    return [_canon(d, r) for d, r in zip(dens, rows)]
 
 
 def differential_matrix(module, p):
-    """Matrix of d: C^p -> C^(p+1) in tuple coordinates (cached per module),
-    for the complexes that are eliminated; `differential` applies d to one
-    cochain without it."""
+    """Matrix of d: C^p -> C^(p+1) on coords (cached per module), for the
+    complexes that are eliminated; `differential` applies d to one cochain
+    without it."""
     if not 0 <= p <= MAX_DEGREE - 1:
         raise UnsupportedDegree(f"differential undefined in degree {p}")
     cache = module._cache
     key = ("dmat", p)
     if key not in cache:
-        ncols = cochain_dim(module, p)
-        terms, den = _scatter(module, p, [(q, 1) for q in range(ncols)])
-        # the terms come in increasing q, so each row's dict is in column order
-        rows = [{} for _ in range(cochain_dim(module, p + 1))]
-        for q, r, x, s in terms:
-            row = rows[r]
-            row[q] = row.get(q, 0) + x * (den // s)
-        cache[key] = Matrix._from_sparse(
-            [_canon(den, [(q, x) for q, x in row.items() if x]) for row in rows], ncols
-        )
+        m, ncols = module.dim, cochain_dim(module, p)
+        terms = _scatter(module, p, [(q, 1, 1) for q in range(ncols)])
+        entries = [(u * m + j, q, x, s) for q, u, j, x, s in terms]
+        cache[key] = Matrix._from_sparse(_summed(entries, cochain_dim(module, p + 1), ncols), ncols)
     return cache[key]
 
 
 def differential(c):
-    """d c as a Cochain one degree up."""
+    """d c as a Cochain one degree up: per (p + 1)-tuple, the terms that
+    land on it, over the lcm of the scales they carry from their rows."""
     if c.degree >= MAX_DEGREE:
         raise UnsupportedDegree(f"cannot differentiate degree {c.degree}")
-    return Cochain._from_row(
-        c.module, c.degree + 1, _differential_row(c.module, c.degree, c.sparse_row)
-    )
+    module, p, m = c.module, c.degree, c.module.dim
+    nonzeros = ((k * m + b, a, s) for k, (s, pairs) in enumerate(c.rows) for b, a in pairs)
+    entries = [(u, j, x, s) for _, u, j, x, s in _scatter(module, p, nonzeros)]
+    rows = _summed(entries, comb(module.algebra.dim, p + 1), m)
+    return Cochain._from_rows(module, p + 1, tuple(rows))
+
+
+def _differential_coords(module, p, row):
+    """d_p applied to the p-cochain whose coords are the scaled row `row`,
+    as a scaled row of coords: a column of the matrix that
+    HamiltonianAnalysis.symplectic eliminates."""
+    m, (s, pairs) = module.dim, row
+    terms = _scatter(module, p, ((q, a, s) for q, a in pairs))
+    entries = [(0, u * m + j, x, t) for _, u, j, x, t in terms]
+    return _summed(entries, 1, cochain_dim(module, p + 1))[0]
 
 
 def contract(xi, c):
@@ -382,33 +406,24 @@ def contract(xi, c):
     if len(xi) != n:
         raise ValueError(f"xi must have {n} entries")
     sx, xs = _sparse(xi)
-    ints, acc = dict(xs), {}
-    for q, i, x in _contraction_terms(c):
-        if i in ints:
-            acc[q] = acc.get(q, 0) + x * ints[i]
-    row = _canon(c.sparse_row[0] * sx, [(q, a) for q, a in sorted(acc.items()) if a])
-    return Cochain._from_row(c.module, c.degree - 1, row)
-
-
-def _contraction_terms(c):
-    """(coordinate q of C^(p-1), index i, integer x) for each term of the
-    contractions i_{e_i} c, over the scale of c: c(e_i, s)_a = (-1)^k c(t)_a,
-    t the increasing tuple with t_k = i and s the rest of t."""
-    m = c.module.dim
-    faces = _faces(c.module.algebra.dim, c.degree)
-    for q, x in c.sparse_row[1]:
-        pos, a = divmod(q, m)
-        for i, sign, rest in faces[pos]:
-            yield rest * m + a, i, sign * x
+    # c(e_i, rest) = (-1)^r c(t), t the tuple rest with i inserted at position r
+    out = tuple(
+        sparse_lincomb(((co[i][0] * x, c.rows[co[i][1]]) for i, x in xs if i in co), sx)
+        for co in _cofaces(n, c.degree - 1)
+    )
+    return Cochain._from_rows(c.module, c.degree - 1, out)
 
 
 def contraction_matrix(c):
-    """Columns i_{e_i} c for degree >= 1, read off the stored row."""
-    rows = [[] for _ in range(cochain_dim(c.module, c.degree - 1))]
-    for q, i, x in _contraction_terms(c):
-        rows[q].append((i, x))
-    s = c.sparse_row[0]
-    return Matrix._from_sparse((_canon(s, sorted(r)) for r in rows), c.module.algebra.dim)
+    """Columns i_{e_i} c on coords for degree >= 1, each entry over the
+    scale of the row of c it came from."""
+    n, m = c.module.algebra.dim, c.module.dim
+    entries = []
+    for rest, cofaces in enumerate(_cofaces(n, c.degree - 1)):
+        for i, (sign, k) in cofaces.items():
+            s, pairs = c.rows[k]
+            entries += [(rest * m + a, i, sign * x, s) for a, x in pairs]
+    return Matrix._from_sparse(_summed(entries, cochain_dim(c.module, c.degree - 1), n), n)
 
 
 def lie_derivative(xi, c):
@@ -461,6 +476,8 @@ class CohomologySpace:
 
         Raises Unsolvable when c is not a cocycle.
         """
+        if c.module is not self.module and c.module != self.module:
+            raise ValueError("cochains over different modules")
         if c.degree != self.degree:
             raise ValueError("degree mismatch")
         return self._quot.apply(self.cocycles.coords_of(c.coords))

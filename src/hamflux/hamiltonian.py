@@ -51,7 +51,7 @@ from functools import cached_property
 from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
-    _differential_row,
+    _differential_coords,
     cochain_dim,
     cohomology,
     contract,
@@ -137,7 +137,7 @@ class HamiltonianAnalysis:
         # K-coordinates y with d(i_xi omega) = 0, xi = K y: the kernel of the
         # matrix whose columns are d of the columns of _contraction_k
         cols = [
-            _differential_row(self.module, 1, c)
+            _differential_coords(self.module, 1, c)
             for c in self._contraction_k.transpose().sparse_rows
         ]
         m = Matrix._from_sparse(cols, cochain_dim(self.module, 2)).transpose()

@@ -39,8 +39,8 @@ from hamflux.linalg import (
     _ZERO_ROW,
     LinearSolver,
     Matrix,
+    _canon,
     _concat,
-    _gather,
     _neg,
     hstack,
     sparse_lincomb,
@@ -81,42 +81,29 @@ def _action_store(analysis, zeta):
 def pullback_cocycle(analysis, zeta):
     """omega_g(X, Y) = omega(zeta X, zeta Y), closed over the pullback module.
 
-    Built and checked once per (analysis, zeta); its module is the one
-    pullback module that every cochain derived from zeta lives on.
+    Built from the rows of omega and checked once per (analysis, zeta); its
+    module is the one pullback module that every cochain derived from zeta
+    lives on.
     """
-    return _omega_g(analysis, zeta)[0]
-
-
-def _omega_g(analysis, zeta):
-    """(omega_g, its values on increasing pairs as scaled rows), stored once
-    per (analysis, zeta)."""
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        omega = analysis.omega
+        omega = analysis.omega.rows
         _, index = tuple_basis(analysis.module.algebra.dim, 2)
-        values = {}  # omega(e_a, e_b) for a < b, as scaled rows, on first use
-
-        def value(a, b):
-            if (a, b) not in values:
-                values[a, b] = omega._value_row(index[a, b])
-            return values[a, b]
-
         z = zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
         rows = []
         for i, j in tuple_basis(zeta.source.dim, 2)[0]:
             (si, zi), (sj, zj) = z[i], z[j]
             terms = [
-                (x * y, value(a, b)) if a < b else (-x * y, value(b, a))
+                (x * y, omega[index[a, b]]) if a < b else (-x * y, omega[index[b, a]])
                 for a, x in zi
                 for b, y in zj
                 if a != b
             ]
             rows.append(sparse_lincomb(terms, si * sj))
-        row = _concat(rows, analysis.module.dim)
-        omega_g = Cochain._from_row(pullback_module(analysis, zeta), 2, row)
+        omega_g = Cochain._from_rows(pullback_module(analysis, zeta), 2, tuple(rows))
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
-        store["omega_g"] = omega_g, tuple(rows)
+        store["omega_g"] = omega_g
     return store["omega_g"]
 
 
@@ -181,20 +168,19 @@ def obstruction_cocycle(momentum):
     """
     cache = momentum._cache
     if "tau" not in cache:
-        cache["tau"], cache["tau_rows"], cache["tau_coords"] = _derive_tau(momentum)
+        cache["tau"], cache["tau_coords"] = _derive_tau(momentum)
     return cache["tau"]
 
 
-def _tau_rows(momentum):
-    """(values, V^h coordinates) of tau on increasing pairs, as scaled rows."""
-    if "tau" not in momentum._cache:
-        obstruction_cocycle(momentum)
-    return momentum._cache["tau_rows"], momentum._cache["tau_coords"]
+def _tau_coords(momentum):
+    """The V^h coordinates of tau on increasing pairs, as scaled rows."""
+    obstruction_cocycle(momentum)
+    return momentum._cache["tau_coords"]
 
 
 def _derive_tau(momentum):
     analysis, g, module = momentum.analysis, momentum.g, momentum.analysis.module
-    omega_g, omega_g_rows = _omega_g(analysis, momentum.zeta)
+    omega_g = pullback_cocycle(analysis, momentum.zeta)
     z = momentum.zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
     J = momentum.matrix.transpose().sparse_rows  # row j is J(e_j)
     pairs, _ = tuple_basis(g.dim, 2)
@@ -208,15 +194,15 @@ def _derive_tau(momentum):
             coords.append(analysis.invariants._coords_row(rows[-1]))
         except Unsolvable:
             raise HamfluxError("obstruction value escaped the invariants") from None
-    tau = Cochain._from_row(omega_g.module, 2, _concat(rows, module.dim))
+    tau = Cochain._from_rows(omega_g.module, 2, tuple(rows))
     if not differential(tau).is_zero():
         raise HamfluxError("obstruction cocycle is not closed")
     # d J(e_i, e_j) = tau(e_i, e_j) - e_j . J(e_i), so tau = d J + omega_g
     # exactly when e_j . J(e_i) = omega_g(e_i, e_j)
-    for (i, j), w in zip(pairs, omega_g_rows):
+    for (i, j), w in zip(pairs, omega_g.rows):
         if module._act_row(z[j], J[i]) != w:
             raise HamfluxError("tau != d J + omega_g; inconsistent data")
-    return tau, tuple(rows), tuple(coords)
+    return tau, tuple(coords)
 
 
 # -- extensions ----------------------------------------------------------------
@@ -326,7 +312,7 @@ def central_extension(momentum):
     if "central" not in cache:
         g = momentum.g
         k = momentum.analysis.invariants.dim
-        table = _extension_table(k, g, None, _pair_rows(_tau_rows(momentum)[1], g.dim))
+        table = _extension_table(k, g, None, _pair_rows(_tau_coords(momentum), g.dim))
         cache["central"] = ExtensionPresentation("central", LieAlgebra(table), g, k)
     return cache["central"]
 
@@ -338,7 +324,7 @@ def abelian_extension(analysis, zeta):
     if "abelian" not in store:
         g = zeta.source
         k = analysis.admissible.dim
-        head = _in_admissible(analysis, _pair_rows(_omega_g(analysis, zeta)[1], g.dim))
+        head = _in_admissible(analysis, _pair_rows(pullback_cocycle(analysis, zeta).rows, g.dim))
         table = _extension_table(k, g, _admissible_action(analysis, zeta), head)
         store["abelian"] = ExtensionPresentation("abelian", LieAlgebra(table), g, k)
     return store["abelian"]
@@ -398,13 +384,14 @@ def equivariantize(momentum):
     inv = analysis.invariants
     k = inv.dim
     # component a of tau is entry a of its V^h coordinates on every pair
-    entries = [[] for _ in range(k)]
-    for pos, (s, pairs) in enumerate(_tau_rows(momentum)[1]):
+    coords = _tau_coords(momentum)
+    values = [[_ZERO_ROW] * len(coords) for _ in range(k)]
+    for pos, (s, pairs) in enumerate(coords):
         for a, x in pairs:
-            entries[a].append((pos, x, s))
+            values[a][pos] = _canon(s, ((0, x),))
     scalar = LieModule.trivial(momentum.g, 1)
     h2 = cohomology(scalar, 2)
-    parts = [Cochain._from_row(scalar, 2, _gather(e)) for e in entries]
+    parts = [Cochain._from_rows(scalar, 2, tuple(v)) for v in values]
     cls = tuple(x for xs in zip(*map(h2.class_of, parts)) for x in xs)
     solver = LinearSolver(differential_matrix(scalar, 1))
     try:
@@ -460,7 +447,7 @@ def coboundary_trivialization(momentum, alpha):
     f_mat = Matrix.from_columns(cols, analysis.module.dim)
     # tau = d f for the trivial action: tau(X,Y) = -f([X,Y])
     f_rows = f_mat.transpose().sparse_rows
-    for (i, j), row in zip(tuple_basis(g.dim, 2)[0], _tau_rows(momentum)[0]):
+    for (i, j), row in zip(tuple_basis(g.dim, 2)[0], obstruction_cocycle(momentum).rows):
         s, bracket = g._sparse[i][j]
         if row != sparse_lincomb(((-c, f_rows[l]) for l, c in bracket), s):
             raise HamfluxError("tau != d f in the exact case")
@@ -567,7 +554,7 @@ def baer_product(analysis, zeta, momentum=None):
     result = ExtensionPresentation("baer", total, g, k2)
 
     # the literal quotient must be V_omega x_tau g on the nose
-    head = _in_admissible(analysis, _pair_rows(_tau_rows(momentum)[0], ng))
+    head = _in_admissible(analysis, _pair_rows(obstruction_cocycle(momentum).rows, ng))
     if total._sparse != _extension_table(k2, g, action, head):
         raise HamfluxError("Baer product is not V_omega with the tau cocycle over g")
 

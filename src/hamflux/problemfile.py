@@ -298,7 +298,7 @@ def _parse_module(block, path, algebra):
 def _parse_omega(rows, path, module):
     n, m = module.algebra.dim, module.dim
     _, index = tuple_basis(n, 2)
-    entries = []  # (coordinate, p, q) of each nonzero entry
+    entries = [[] for _ in index]  # (component, p, q) of each nonzero, per pair
     seen = set()
     for r, row in enumerate(_list(rows, path)):
         here = f"{path}[{r}]"
@@ -319,8 +319,8 @@ def _parse_omega(rows, path, module):
             _invalid(here, f"duplicate cochain entry for ({i}, {j}, {comp})")
         seen.add((i, j, comp))
         if p:
-            entries.append((index[i, j] * m + comp, p, q))
-    return Cochain._from_row(module, 2, _gather(sorted(entries)))
+            entries[index[i, j]].append((comp, p, q))
+    return Cochain._from_rows(module, 2, tuple(_gather(sorted(e)) for e in entries))
 
 
 def _parse_zeta(block, path, algebra):
@@ -510,14 +510,10 @@ def structure_rows(algebra):
 def cochain_rows(c):
     if c.degree != 2:
         raise ValueError("sparse entry rows are defined for 2-cochains")
-    m = c.module.dim
     tuples, _ = tuple_basis(c.module.algebra.dim, 2)
-    s, pairs = c.sparse_row
-    rows = []
-    for q, a in pairs:
-        pos, comp = divmod(q, m)
-        rows.append([*tuples[pos], _text(a, s), comp])
-    return rows
+    return [
+        [*t, _text(a, s), comp] for t, (s, pairs) in zip(tuples, c.rows) for comp, a in pairs
+    ]
 
 
 def algebra_block(algebra):

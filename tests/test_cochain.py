@@ -186,6 +186,18 @@ def test_from_dict_rejects_wrong_lengths(entries):
         Cochain.from_dict(mod, 2, entries)
 
 
+def test_from_values_rejects_a_value_of_the_wrong_length():
+    # lengths 4, 2 and 3 add up to the 9 coordinates of C^2(sl2, sl2); read
+    # as one flat list, the value on (0, 2) would be (4, 5, 6)
+    mod = adjoint_module(sl2())
+    values = {(0, 1): (1, 2, 3, 4), (0, 2): (5, 6), (1, 2): (7, 8, 9)}
+    with pytest.raises(ValueError, match=r"value at \(0, 1\) does not have 3 entries"):
+        Cochain.from_values(mod, 2, lambda i, j: values[i, j])
+    values[0, 1] = (1, 2, 3)
+    with pytest.raises(ValueError, match=r"value at \(0, 2\) does not have 3 entries"):
+        Cochain.from_values(mod, 2, lambda i, j: values[i, j])
+
+
 def test_contract_heis_pair_omega():
     mod, omega = heis_pair_instance()
     # i_x omega = omega(x, .): sends y to -Z
@@ -307,6 +319,21 @@ def test_cohomology_class_computation_on_heis3():
     other = Cochain.from_dict(mod, 2, {(0, 2): (1,)})
     assert any(h2.class_of(other))
     assert cohomology(mod, 2) is h2  # cached
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_class_of_rejects_a_cochain_over_another_module(degree):
+    mod, _ = heis_pair_instance()
+    h = cohomology(mod, degree)
+    # closed, and of the right degree and size, but over Q^3 with h acting trivially
+    other = LieModule.trivial(LieAlgebra.abelian(2), 3)
+    c = Cochain(other, degree, [1] * cochain_dim(other, degree))
+    with pytest.raises(ValueError, match="cochains over different modules"):
+        h.class_of(c)
+    # an equal module built anew is the same module
+    same = LieModule(mod.algebra, mod.dim, mod.action)
+    zero = Cochain.zero(same, degree)
+    assert not any(h.class_of(zero))
 
 
 def test_cohomology_degree_cap():

@@ -1,4 +1,5 @@
-"""Cochains stored as one scaled integer row agree with the dense formulas.
+"""Cochains stored as one scaled integer row per index tuple agree with the
+dense formulas.
 
 Each reference below works on the dense Fraction coordinates, as cochains
 were computed before they were stored as rows: values are slices of the
@@ -8,7 +9,9 @@ a dense list. The instances are rescaled copies of small modules, so the
 rows have scales > 1 and entries past 2^64.
 """
 
+import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from hamflux.cochain import (
     Cochain,
     cochain_dim,
     contract,
+    contraction_matrix,
     differential,
     differential_matrix,
     sort_with_sign,
@@ -25,7 +29,16 @@ from hamflux.cochain import (
 )
 from hamflux.liealg import LieModule, adjoint_module
 from hamflux.linalg import _sparse
-from util import assert_scaled_row, heis3, heis_pair_instance, rescaled, sl2, solvable2
+from hamflux.problemfile import parse_problem
+from util import (
+    assert_scaled_row,
+    heis3,
+    heis_pair_instance,
+    rational_limit_document,
+    rescaled,
+    sl2,
+    solvable2,
+)
 
 BASES = [
     lambda: adjoint_module(sl2()),
@@ -84,11 +97,21 @@ def dense_contract(module, p, xi, coords):
     )
 
 
+def dense_rows(module, p, coords):
+    """The scaled rows of the values of `coords`, one per increasing tuple."""
+    m = module.dim
+    tuples, _ = tuple_basis(module.algebra.dim, p)
+    return tuple(_sparse(coords[k * m : (k + 1) * m]) for k in range(len(tuples)))
+
+
 def assert_same(c, module, p, coords):
-    """c is the cochain of `coords`, stored canonically, and equal and
-    hash-equal to the one the public constructor builds."""
+    """c is the cochain of `coords`, stored canonically, one row per
+    increasing tuple, and equal and hash-equal to the one the public
+    constructor builds."""
     assert c.degree == p and c.coords == tuple(coords)
-    assert_scaled_row(c.sparse_row, cochain_dim(module, p))
+    assert len(c.rows) == len(tuple_basis(module.algebra.dim, p)[0])
+    for row in c.rows:
+        assert_scaled_row(row, module.dim)
     public = Cochain(module, p, coords)
     assert c == public and hash(c) == hash(public)
     assert c.is_zero() == (not any(coords))
@@ -103,7 +126,7 @@ def test_differential_contract_and_value_match_the_dense_formulas(data):
     coords = data.draw(coords_of_degree(module, p))
     c = Cochain(module, p, coords)
     assert_same(c, module, p, coords)
-    assert c.sparse_row == _sparse(coords)
+    assert c.rows == dense_rows(module, p, coords)
     idx = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=p, max_size=p)))
     assert c.value(*idx) == dense_value(module, p, coords, idx)
     if p < 3:
@@ -160,7 +183,8 @@ def test_row_constructor_equals_the_public_one():
     module = adjoint_module(sl2())
     coords = [F(0)] * 8 + [F(2**70, 3)]
     public = Cochain(module, 2, coords)
-    trusted = Cochain._from_row(module, 2, (3, ((8, 2**70),)))
+    # the value on the last of the three pairs is (0, 0, 2^70 / 3)
+    trusted = Cochain._from_rows(module, 2, ((1, ()), (1, ()), (3, ((2, 2**70),))))
     assert public == trusted and hash(public) == hash(trusted)
     assert trusted.coords == tuple(coords)
     assert Cochain.zero(module, 2) == Cochain(module, 2, [0] * 9)
@@ -169,3 +193,42 @@ def test_row_constructor_equals_the_public_one():
         Cochain(module, 2, [0.5] * 9)
     with pytest.raises(ValueError):
         Cochain(module, 2, [0] * 8)
+
+
+def test_scales_stay_local_to_one_value_on_the_rational_limit_document():
+    """rational_limit_document(20) has a diagonal action and a dense omega
+    on 16-dim h and V, each entry a random "p/q" with 20-digit p and q
+    (denominators of at most 67 bits). Each row is bounded by the
+    denominators of its own entries, where one scale over all of omega
+    would have 107,249 bits:
+    - a value of omega: the lcm of its 16 denominators, 1,031 bits at most;
+    - a value of d omega on (x, y, z): it sums lambda_w,j omega(face)_j over
+      w in (x, y, z), so its scale divides the lcm of the scales of the
+      three face values times the lcm of the action denominators of x, y
+      and z, 6,016 bits at most;
+    - a row of contraction_matrix(omega): omega(e_i, e_y)_a over the 15
+      i != y, at most 15 * 67 bits.
+    """
+    doc = rational_limit_document(20)
+    omega = parse_problem(json.dumps(doc)).omega
+    n = m = 16
+    pairs, index = tuple_basis(n, 2)
+    den = {(i, j, a): F(v).denominator for i, j, v, a in doc["omega"]}
+    own = [lcm(*(den[i, j, a] for a in range(m))) for i, j in pairs]
+    assert len(omega.rows) == len(pairs)
+    assert all(o % s == 0 for o, (s, _) in zip(own, omega.rows))
+    assert max(s.bit_length() for s, _ in omega.rows) == 1031
+
+    act = [[F(doc["module"]["action"][w][j][j]).denominator for j in range(m)] for w in range(n)]
+    d = differential(omega)
+    for (x, y, z), (s, _) in zip(tuple_basis(n, 3)[0], d.rows):
+        faces = lcm(own[index[y, z]], own[index[x, z]], own[index[x, y]])
+        assert faces * lcm(*act[x], *act[y], *act[z]) % s == 0
+    assert max(s.bit_length() for s, _ in d.rows) <= 6016
+
+    rows = contraction_matrix(omega).sparse_rows
+    for y in range(n):
+        for a in range(m):
+            entries = lcm(*(den[min(i, y), max(i, y), a] for i in range(n) if i != y))
+            assert entries % rows[y * m + a][0] == 0
+    assert max(s.bit_length() for s, _ in rows) <= 15 * 67

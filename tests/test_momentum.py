@@ -120,7 +120,7 @@ def test_heis_obstruction_cocycle(heis):
     assert tau.value(0, 1) == (0, 0, 1)
     assert tau.value(1, 0) == (0, 0, -1)
     # one pair, (0, 1): the value Z and its V^h coordinate 1
-    assert momentum._cache["tau_rows"] == ((1, ((2, 1),)),)
+    assert tau.rows == ((1, ((2, 1),)),)
     assert momentum._cache["tau_coords"] == ((1, ((0, 1),)),)
 
 
@@ -223,9 +223,8 @@ def test_pullback_cocycle_is_omega_on_the_images(heis, cols):
     g = LieAlgebra.abelian(2)
     zeta = AlgebraHom(g, analysis.module.algebra, Matrix([list(r) for r in zip(*cols)]))
     omega_g = pullback_cocycle(analysis, zeta)
-    rows = hamflux.momentum._omega_g(analysis, zeta)[1]
     m = analysis.module.dim
-    for (i, j), row in zip(tuple_basis(2, 2)[0], rows):
+    for (i, j), row in zip(tuple_basis(2, 2)[0], omega_g.rows):
         want = (0,) * m
         for a, x in enumerate(cols[i]):
             for b, y in enumerate(cols[j]):
@@ -503,8 +502,8 @@ def test_baer_product_checks_the_tau_cocycle(monkeypatch):
     assert not obstruction_cocycle(momentum).is_zero()
     central_extension(momentum)
     # the quotient carries the true tau, the check now expects zero
-    zero = (_ZERO_ROW,) * len(momentum._cache["tau_rows"])
-    monkeypatch.setitem(momentum._cache, "tau_rows", zero)
+    tau = momentum._cache["tau"]
+    monkeypatch.setitem(momentum._cache, "tau", Cochain.zero(tau.module, 2))
     with pytest.raises(HamfluxError) as err:
         baer_product(analysis, zeta, momentum=momentum)
     assert type(err.value) is HamfluxError
@@ -589,10 +588,10 @@ def assert_check_fails(fn, arg, message):
 
 def break_the_degree_2_differential(monkeypatch, c):
     """Plant, in the module of the 2-cochain c, bracket terms of d_2 under
-    which d c != 0: the block of the first tuple where c is nonzero also
+    which d c != 0: the value on the first tuple where c is nonzero also
     goes, with coefficient 1, to the first increasing triple."""
     module = c.module
-    k = c.sparse_row[1][0][0] // module.dim
+    k = next(k for k, (_, pairs) in enumerate(c.rows) if pairs)
     table = list(hamflux.cochain._bracket_terms(module, 2))
     table[k] += ((0, 1, 1),)
     monkeypatch.setitem(module._cache, ("dbrackets", 2), tuple(table))
@@ -620,11 +619,10 @@ def test_tau_is_checked_against_d_j_plus_omega_g(monkeypatch):
     momentum = exact_tau_instance()
     analysis = momentum.analysis
     store = hamflux.momentum._action_store(analysis, momentum.zeta)
-    # the check reads omega_g's stored rows
-    m = analysis.module.dim
-    omega_g, rows = store["omega_g"]
-    doubled = tuple(_sparse(tuple(2 * x for x in _dense(r, m))) for r in rows)
-    monkeypatch.setitem(store, "omega_g", (omega_g, doubled))
+    # the check reads the rows of the stored omega_g
+    omega_g = store["omega_g"]
+    doubled = Cochain(omega_g.module, 2, tuple(2 * x for x in omega_g.coords))
+    monkeypatch.setitem(store, "omega_g", doubled)
     assert_check_fails(
         obstruction_cocycle, fresh(momentum), "tau != d J + omega_g; inconsistent data"
     )
@@ -678,7 +676,7 @@ def assert_tau_matches_the_dense_formula(momentum):
     stored V^h coordinates against invariants.coords_of of those values."""
     analysis, g, J = momentum.analysis, momentum.g, momentum.matrix
     tau = obstruction_cocycle(momentum)
-    rows, coords = momentum._cache["tau_rows"], momentum._cache["tau_coords"]
+    rows, coords = tau.rows, momentum._cache["tau_coords"]
     pairs, _ = tuple_basis(g.dim, 2)
     assert len(rows) == len(coords) == len(pairs)
     for p, (i, j) in enumerate(pairs):
