@@ -94,7 +94,7 @@ def build_parser():
 
 
 def _matrix_lines(m):
-    return ["  " + " ".join(rat_str(x) for x in m.row(i)) for i in range(m.nrows)]
+    return ["  " + " ".join(row) for row in grid_of(m)]
 
 
 def _require_zeta(pf, command):

@@ -35,6 +35,8 @@ from hamflux.linalg import (
     Matrix,
     Subspace,
     _canon,
+    _checked_row,
+    _concat,
     _dense,
     _neg,
     _sparse,
@@ -43,10 +45,7 @@ from hamflux.linalg import (
     quotient_map,
     rat,
     sparse_lincomb,
-    vec_scale,
-    vec_sub,
     vector,
-    zero_vector,
 )
 
 MAX_DEGREE = 3
@@ -179,11 +178,8 @@ class Cochain:
         if not all(0 <= i < n for i in idx):
             raise ValueError(f"basis index outside 0..{n - 1}")
         sign, key = sort_with_sign(idx)
-        if sign == 0:
-            return zero_vector(self.module.dim)
-        _, index = tuple_basis(n, self.degree)
-        row = self.rows[index[key]]
-        return _dense(row if sign == 1 else _neg(row), self.module.dim)
+        row = self.rows[tuple_basis(n, self.degree)[1][key]] if sign else _ZERO_ROW
+        return _dense(row if sign >= 0 else _neg(row), self.module.dim)
 
     def is_zero(self):
         return not any(pairs for _, pairs in self.rows)
@@ -397,19 +393,28 @@ def _differential_coords(module, p, row):
     return _summed(entries, 1, cochain_dim(module, p + 1))[0]
 
 
+def _xi_row(xi, n):
+    """Scaled row of xi; TypeError if inexact, then ValueError unless len n."""
+    xi = vector(xi)
+    if len(xi) != n:
+        raise ValueError(f"xi must have {n} entries")
+    return _sparse(xi)
+
+
 def contract(xi, c):
     """i_xi c: plug the coordinate vector xi into the first slot."""
     if c.degree == 0:
         raise DegreeZero("cannot contract a degree-0 cochain")
-    xi = vector(xi)
-    n = c.module.algebra.dim
-    if len(xi) != n:
-        raise ValueError(f"xi must have {n} entries")
-    sx, xs = _sparse(xi)
+    return _contract(_xi_row(xi, c.module.algebra.dim), c)
+
+
+def _contract(xi, c):
+    """i_xi c for the scaled row xi and c of degree >= 1."""
+    sx, xs = xi
     # c(e_i, rest) = (-1)^r c(t), t the tuple rest with i inserted at position r
     out = tuple(
         sparse_lincomb(((co[i][0] * x, c.rows[co[i][1]]) for i, x in xs if i in co), sx)
-        for co in _cofaces(n, c.degree - 1)
+        for co in _cofaces(c.module.algebra.dim, c.degree - 1)
     )
     return Cochain._from_rows(c.module, c.degree - 1, out)
 
@@ -428,22 +433,27 @@ def contraction_matrix(c):
 
 def lie_derivative(xi, c):
     """L_xi c = xi . c(...) minus the sum over slots of c(..., [xi, slot], ...)."""
-    xi = vector(xi)
-    mod = c.module
-    alg = mod.algebra
-    if c.degree == 0:
-        return Cochain(mod, 0, mod.act(xi, c.coords))
+    return _lie_derivative(_checked_row(vector(xi), c.module.algebra.dim), c)
 
-    def term(*t):
-        # [xi, e_{t_pos}] = sum_k w e_k replaces slot pos with weight -w
-        out = mod.act(xi, c.value(*t))
-        for pos in range(len(t)):
-            for k, w in enumerate(alg.bracket_with_basis(xi, t[pos])):
-                if w:
-                    out = vec_sub(out, vec_scale(w, c.value(*t[:pos], k, *t[pos + 1 :])))
-        return out
 
-    return Cochain.from_values(mod, c.degree, term)
+def _lie_derivative(xi, c):
+    """L_xi c for the scaled row xi, each value over the lcm of the scales
+    of the [xi, e_y]."""
+    mod, n = c.module, c.module.algebra.dim
+    tuples, index = tuple_basis(n, c.degree)
+    brackets = [mod.algebra._sparse_bracket(xi, (1, ((y, 1),))) for y in range(n)]
+    den = lcm(*[s for s, _ in brackets])
+    rows = []
+    for u, t in enumerate(tuples):
+        terms = [(den, mod._act_row(xi, c.rows[u]))]
+        for pos, y in enumerate(t):
+            s, pairs = brackets[y]
+            for k, w in pairs:
+                sign, key = sort_with_sign(t[:pos] + (k,) + t[pos + 1 :])
+                if sign:
+                    terms.append((-sign * w * (den // s), c.rows[index[key]]))
+        rows.append(sparse_lincomb(terms, den))
+    return Cochain._from_rows(mod, c.degree, tuple(rows))
 
 
 class CohomologySpace:
@@ -454,17 +464,14 @@ class CohomologySpace:
             raise UnsupportedDegree(f"cohomology implemented for degrees 0..2, not {degree}")
         self.module = module
         self.degree = degree
-        self.cocycles = kernel_basis(differential_matrix(module, degree))
         if degree == 0:
+            self.cocycles = invariant_vectors(module)
             self.coboundaries = Subspace.zero(cochain_dim(module, 0))
         else:
-            self.coboundaries = Subspace.from_columns(
-                differential_matrix(module, degree - 1)
-            )
-        coords_in_z = [
-            self.cocycles.coords_of(b) for b in self.coboundaries.basis.columns()
-        ]
-        self._b_in_z = Subspace.from_vectors(self.cocycles.dim, coords_in_z)
+            self.cocycles = kernel_basis(differential_matrix(module, degree))
+            self.coboundaries = Subspace.from_columns(differential_matrix(module, degree - 1))
+        coords_in_z = [self.cocycles._coords_row(b) for b in self.coboundaries._basis_rows()]
+        self._b_in_z = Subspace._span(self.cocycles.dim, coords_in_z)
         self._quot = quotient_map(self.cocycles.dim, self._b_in_z)
 
     @property
@@ -480,7 +487,12 @@ class CohomologySpace:
             raise ValueError("cochains over different modules")
         if c.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._quot.apply(self.cocycles.coords_of(c.coords))
+        return _dense(self._class_row(c), self.dim)
+
+    def _class_row(self, c):
+        """Scaled row of the class of the p-cochain c over this module."""
+        coords = self.cocycles._coords_row(_concat(c.rows, self.module.dim))
+        return self._quot._apply_row(coords)
 
 
 def cohomology(module, degree):

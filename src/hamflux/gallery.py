@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from hamflux._record import Record
-from hamflux.cochain import Cochain, cochain_dim, differential, differential_matrix
+from hamflux.cochain import Cochain, cochain_dim, differential, differential_matrix, tuple_basis
 from hamflux.errors import (
     GenerationFailed,
     HamfluxError,
@@ -28,21 +28,21 @@ from hamflux.liealg import (
     AlgebraHom,
     LieAlgebra,
     LieModule,
+    _Rows,
     center,
     spanned_subalgebra,
     subalgebra,
 )
 from hamflux.linalg import (
+    _ZERO_ROW,
     LinearSolver,
     Matrix,
+    _neg,
+    _sparse,
     kernel_basis,
     quotient_map,
-    unit_vector,
-    vec_neg,
-    vec_scale,
-    vec_sub,
+    sparse_lincomb,
     vector,
-    zero_vector,
 )
 
 
@@ -67,22 +67,31 @@ def _central_quotient(hat, z):
     """hat / z for a central subspace z of hat, acting on hat through the
     factored adjoint action, and the canonical section S of the quotient.
 
-    Returns (module, S), S as the list of the S e_i: the bracket of
+    Returns (module, S), S as the scaled rows of the S e_i: the bracket of
     h = hat / z is q [S x, S y] with q the canonical quotient map, and x in h
     acts on hat as ad(S x).
     """
     q = quotient_map(hat.dim, z)
     solver = LinearSolver(q)
-    S = [solver.solve(unit_vector(q.nrows, i)) for i in range(q.nrows)]
-    h = LieAlgebra([[q.apply(hat.bracket(x, y)) for y in S] for x in S])
-    return LieModule(h, hat.dim, [hat.ad_matrix(x) for x in S]), S
+    S = [solver._solve_row((1, ((i, 1),))) for i in range(q.nrows)]
+    h = LieAlgebra(_Rows([q._apply_row(hat._sparse_bracket(x, y)) for y in S] for x in S))
+    return LieModule(h, hat.dim, [hat._ad(x) for x in S]), S
 
 
-def _commutator_algebra(table):
-    """Lie algebra of an associative multiplication table t on the same
-    basis: [e_a, e_b] = t[a][b] - t[b][a]."""
-    m = len(table)
-    return LieAlgebra([[vec_sub(table[a][b], table[b][a]) for b in range(m)] for a in range(m)])
+def _commutator_algebra(p, m):
+    """Lie algebra of an associative multiplication on m basis vectors, given
+    as the scaled rows p[a * m + b] = e_a e_b: [e_a, e_b] = e_a e_b - e_b e_a."""
+
+    def bracket(a, b):
+        return sparse_lincomb(((1, p[a * m + b]), (-1, p[b * m + a])))
+
+    return LieAlgebra(_Rows([bracket(a, b) for b in range(m)] for a in range(m)))
+
+
+def _two_cochain(module, value):
+    """The 2-cochain whose value on (e_i, e_j), i < j, is the row value(i, j)."""
+    pairs, _ = tuple_basis(module.algebra.dim, 2)
+    return Cochain._from_rows(module, 2, tuple(value(i, j) for i, j in pairs))
 
 
 def from_central_extension(hat_h, z):
@@ -96,14 +105,13 @@ def from_central_extension(hat_h, z):
     n = hat_h.dim
     if z.ambient != n:
         raise ValueError("z must be a subspace of hat_h")
-    for j in range(z.dim):
-        col = z.basis.column(j)
+    for j, col in enumerate(z._basis_rows()):
         for i in range(n):
-            if any(x != 0 for x in hat_h.bracket(unit_vector(n, i), col)):
+            if hat_h._sparse_bracket((1, ((i, 1),)), col)[1]:
                 raise NotCentral(f"z basis vector {j} does not commute with e_{i}")
     module, S = _central_quotient(hat_h, z)
     h = module.algebra
-    omega = Cochain.from_values(module, 2, lambda i, j: vec_neg(hat_h.bracket(S[i], S[j])))
+    omega = _two_cochain(module, lambda i, j: _neg(hat_h._sparse_bracket(S[i], S[j])))
     zhat = center(hat_h).dim
     expected = {
         "symplectic": h.dim,
@@ -121,11 +129,9 @@ def from_central_extension(hat_h, z):
 
 def _sl_basis(n):
     """Off-diagonal units E_ij row-major, then H_k = E_kk - E_(k+1)(k+1), as
-    row-major coordinates of n x n matrices."""
-    nn = n * n
-    basis = [unit_vector(nn, i * n + j) for i in range(n) for j in range(n) if i != j]
-    for k in range(n - 1):
-        basis.append(vec_sub(unit_vector(nn, k * (n + 1)), unit_vector(nn, (k + 1) * (n + 1))))
+    scaled rows of the row-major coordinates of n x n matrices."""
+    basis = [(1, ((i * n + j, 1),)) for i in range(n) for j in range(n) if i != j]
+    basis += [(1, ((k * (n + 1), 1), ((k + 1) * (n + 1), -1))) for k in range(n - 1)]
     return basis
 
 
@@ -138,14 +144,12 @@ def matrix_algebra_example(n):
     subalgebra on _sl_basis(n)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    gl = _commutator_algebra(full_matrix_table(n))
+    gl = _commutator_algebra([_sparse(v) for row in full_matrix_table(n) for v in row], n * n)
     basis = _sl_basis(n)
-    h, inclusion = spanned_subalgebra(gl, Matrix.from_columns(basis, n * n))
+    h, inclusion = spanned_subalgebra(gl, Matrix._from_sparse(basis, n * n).transpose())
     h_dim = h.dim
-    module = LieModule(h, n * n, [gl.ad_matrix(b) for b in basis])
-    omega = Cochain.from_values(
-        module, 2, lambda i, j: vec_neg(gl.bracket(basis[i], basis[j]))
-    )
+    module = LieModule(h, n * n, [gl._ad(b) for b in basis])
+    omega = _two_cochain(module, lambda i, j: _neg(gl._sparse_bracket(basis[i], basis[j])))
     expected = {
         "symplectic": h_dim,
         "hamiltonian": h_dim,
@@ -158,11 +162,6 @@ def matrix_algebra_example(n):
     }
     zeta = AlgebraHom.identity(h)
     return InstanceBundle(f"matrix_algebra_{n}", module, omega, zeta, expected)
-
-
-def _assoc_multiply(mult, a, b):
-    # mult is the m x m^2 matrix whose column i*m + j is e_i e_j
-    return mult.apply(tuple(x * y for x in a for y in b))
 
 
 def associative_algebra_example(mult_table):
@@ -179,27 +178,28 @@ def associative_algebra_example(mult_table):
     if any(len(row) != m for row in table):
         raise ValueError("multiplication table must be square")
 
-    mult = Matrix.from_columns([v for row in table for v in row], m)
+    # row i * m + j is e_i e_j
+    products = Matrix.from_columns([v for row in table for v in row], m).transpose().sparse_rows
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                lhs = _assoc_multiply(mult, table[i][j], unit_vector(m, k))
-                rhs = _assoc_multiply(mult, unit_vector(m, i), table[j][k])
+                # (e_i e_j) e_k and e_i (e_j e_k), expanded over the units
+                s, ij = products[i * m + j]
+                lhs = sparse_lincomb(((a, products[l * m + k]) for l, a in ij), s)
+                s, jk = products[j * m + k]
+                rhs = sparse_lincomb(((a, products[i * m + l]) for l, a in jk), s)
                 if lhs != rhs:
                     raise NotAssociative(i, j, k)
 
-    lie = _commutator_algebra(table)
+    lie = _commutator_algebra(products, m)
     z = center(lie)
     module, S = _central_quotient(lie, z)
     h = module.algebra
-    omega = Cochain.from_values(module, 2, lambda i, j: lie.bracket(S[i], S[j]))
+    omega = _two_cochain(module, lambda i, j: lie._sparse_bracket(S[i], S[j]))
     # shifted cocycle: values must drop into the center
-    sigma = Cochain(module, 1, tuple(x for c in S for x in c))
-    shifted = omega - differential(sigma)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            if not z.contains(shifted.value(i, j)):
-                raise HamfluxError("shifted cocycle escaped the center")
+    shifted = omega - differential(Cochain._from_rows(module, 1, tuple(S)))
+    if not all(z._contains_row(value) for value in shifted.rows):
+        raise HamfluxError("shifted cocycle escaped the center")
     zeta = AlgebraHom.identity(h)
     expected = {
         "center_dim": z.dim,
@@ -274,33 +274,29 @@ def _random_algebra(rng, n, attempt):
     # density decays as attempts accumulate; zero density is abelian and
     # always satisfies Jacobi, so the search terminates
     density = max(0.0, 0.55 - 0.08 * (attempt // 5))
-    table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
+    table = [[_ZERO_ROW] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             lo = j + 1
             if lo >= n or rng.random() >= density:
                 continue
-            v = [Fraction(0)] * n
             k = rng.randrange(lo, n)
-            v[k] = rng.choice(_SMALL)
-            table[i][j] = vector(v)
-            table[j][i] = vec_scale(-1, table[i][j])
-    return LieAlgebra(table)
+            c = rng.choice(_SMALL)
+            table[i][j] = (c.denominator, ((k, c.numerator),))
+            table[j][i] = _neg(table[i][j])
+    return LieAlgebra(_Rows(table))
 
 
 def _random_module(rng, algebra, m, attempt):
     n = algebra.dim
     kind = rng.choice(["trivial", "adjoint", "shift"])
     if kind == "adjoint" and n == m:
-        return LieModule(
-            algebra, m, [algebra.ad_matrix(unit_vector(n, i)) for i in range(n)]
-        )
+        return LieModule(algebra, m, [algebra._ad((1, ((i, 1),))) for i in range(n)])
     if kind == "shift" and m >= 2:
         # commuting polynomials in one shift operator; generators appearing
         # in a bracket image act by zero so the hom property is automatic
-        shift = Matrix.from_columns(
-            [unit_vector(m, c + 1) for c in range(m - 1)] + [zero_vector(m)], m
-        )
+        # e_c -> e_(c + 1), the last basis vector to zero
+        shift = Matrix._from_sparse([_ZERO_ROW] + [(1, ((c, 1),)) for c in range(m - 1)], m)
         image_indices = {k for row in algebra._sparse for _, v in row for k, _ in v}
         mats = []
         for i in range(n):
@@ -326,4 +322,7 @@ def _random_cocycle(rng, module):
     if closed.dim == 0:
         return Cochain.zero(module, 2)
     coeffs = [rng.choice(_SMALL) if rng.random() < 0.7 else 0 for _ in range(closed.dim)]
-    return Cochain(module, 2, closed.basis.apply(coeffs))
+    # the value on pair k is block k of m rows of the basis on the coefficients
+    m, rows, coeffs = module.dim, closed.basis.sparse_rows, _sparse(coeffs)
+    blocks = (Matrix._from_sparse(rows[q : q + m], closed.dim) for q in range(0, dim2, m))
+    return Cochain._from_rows(module, 2, tuple(b._apply_row(coeffs) for b in blocks))

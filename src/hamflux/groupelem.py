@@ -70,20 +70,16 @@ def group_element(analysis, zeta, ad, rho_v, label="g"):
     except Unsolvable:
         raise NotInvertible("rhoV is singular") from None
     module = analysis.module
+    z = zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
+    za = [zeta.matrix._apply_row(r) for r in ad.transpose().sparse_rows]  # zeta(Ad e_i)
     for i in range(g.dim):
-        acted = module.action_of(zeta.matrix.apply(ad.column(i)))
-        if rho_v * module.action_of(zeta.matrix.column(i)) * rho_v_inv != acted:
+        acted = module._action_of_row(za[i])
+        if rho_v * module._action_of_row(z[i]) * rho_v_inv != acted:
             raise IntertwiningViolation(i)
-    zm = zeta.matrix
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = rho_v.apply(
-                analysis.omega_value(zm.column(i), zm.column(j))
-            )
-            rhs = analysis.omega_value(
-                zm.apply(ad.column(i)), zm.apply(ad.column(j))
-            )
-            if lhs != rhs:
+            lhs = rho_v._apply_row(analysis._omega_row(z[i], z[j]))
+            if lhs != analysis._omega_row(za[i], za[j]):
                 raise CocycleInvarianceViolation(i, j)
     return GroupElement(label, analysis, zeta, ad, ad_inv, rho_v, rho_v_inv)
 
@@ -147,8 +143,8 @@ def group_cocycle(element, momentum):
     analysis = momentum.analysis
     J = momentum.matrix
     K = element.rho_v * J * element.ad_inv - J
-    for i in range(K.ncols):
-        if not analysis.invariants.contains(K.column(i)):
+    for i, col in enumerate(K.transpose().sparse_rows):
+        if not analysis.invariants._contains_row(col):
             raise ValueOutsideInvariants(i)
     return K
 
@@ -175,10 +171,8 @@ def adjoint_on_extension(element, momentum):
     k = central.kernel_dim
     K = group_cocycle(element, momentum)
     kappa_ad = K * element.ad
-    c_cols = [
-        analysis.invariants.coords_of(kappa_ad.column(i)) for i in range(g.dim)
-    ]
-    top = hstack(Matrix.identity(k), Matrix.from_columns(c_cols, k))
+    c_cols = [analysis.invariants._coords_row(c) for c in kappa_ad.transpose().sparse_rows]
+    top = hstack(Matrix.identity(k), Matrix._from_sparse(c_cols, k).transpose())
     bottom = hstack(Matrix.zeros(g.dim, k), element.ad)
     out = vstack(top, bottom)
     try:

@@ -51,13 +51,16 @@ from functools import cached_property
 from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
+    _contract,
     _differential_coords,
+    _xi_row,
     cochain_dim,
     cohomology,
-    contract,
     contraction_matrix,
     differential,
     differential_matrix,
+    invariant_vectors,
+    tuple_basis,
 )
 from hamflux.errors import (
     InvariantViolation,
@@ -74,14 +77,12 @@ from hamflux.linalg import (
     _checked_row,
     _concat,
     _dense,
+    _neg,
     _rref_in_order,
     hstack,
     kernel_basis,
     quotient_map,
     sparse_lincomb,
-    vec_add,
-    vec_neg,
-    vec_sub,
     vector,
 )
 
@@ -158,8 +159,8 @@ class HamiltonianAnalysis:
 
     @cached_property
     def invariants(self):
-        # the kernel of d alone: momentum and extend read V^h without P
-        return kernel_basis(self._d0)
+        # the kernel of d, once per module: momentum and extend read it without P
+        return invariant_vectors(self.module)
 
     @cached_property
     def _pairs_v_first(self):
@@ -248,19 +249,35 @@ class HamiltonianAnalysis:
 
     def potential_of(self, xi):
         """Canonical v with d v = i_xi omega, for hamiltonian xi."""
-        xi = vector(xi)
+        return _dense(self._potential_row(_xi_row(xi, self.module.algebra.dim)), self.module.dim)
+
+    def _potential_row(self, xi):
+        i_xi = _concat(_contract(xi, self.omega).rows, self.module.dim)
         try:
-            return self._potential_solver.solve(contract(xi, self.omega).coords)
+            return self._potential_solver._solve_row(i_xi)
         except Unsolvable:
             raise NotAdmissible("element is not hamiltonian") from None
 
     # -- evaluations ---------------------------------------------------------
 
     def omega_value(self, x, y):
-        """omega(x, y): i_x omega read off the stored contraction, then y
-        contracted into it."""
-        i_x = Cochain(self.module, 1, self._contraction.apply(vector(x)))
-        return contract(y, i_x).coords
+        """omega(x, y), by bilinear expansion of the values of omega."""
+        n = self.module.algebra.dim
+        xs, ys = _checked_row(vector(x), n), _xi_row(y, n)
+        return _dense(self._omega_row(xs, ys), self.module.dim)
+
+    def _omega_row(self, xs, ys):
+        """Scaled row of omega(x, y) for scaled rows xs and ys."""
+        rows = self.omega.rows
+        _, index = tuple_basis(self.module.algebra.dim, 2)
+        (sx, px), (sy, py) = xs, ys
+        terms = [
+            (x * y, rows[index[a, b]]) if a < b else (-x * y, rows[index[b, a]])
+            for a, x in px
+            for b, y in py
+            if a != b
+        ]
+        return sparse_lincomb(terms, sx * sy)
 
     def poisson_bracket(self, v1, v2):
         """{v1, v2} = xi1 . v2 with xi1 a hamiltonian lift of v1."""
@@ -273,10 +290,11 @@ class HamiltonianAnalysis:
 
     def flux_class(self, xi):
         """Class of i_xi omega in H^1(h, V); defined for symplectic xi."""
-        xi = vector(xi)
-        if not self.symplectic.contains(xi):
+        xs = _checked_row(vector(xi), self.module.algebra.dim)
+        if not self.symplectic._contains_row(xs):
             raise NotSymplectic("flux is defined on the symplectic subalgebra")
-        return cohomology(self.module, 1).class_of(contract(xi, self.omega))
+        h1 = cohomology(self.module, 1)
+        return _dense(h1._class_row(_contract(xs, self.omega)), h1.dim)
 
     def exactness_report(self):
         """Dimension bookkeeping for ham and the admissible vectors.
@@ -329,10 +347,16 @@ def hamiltonian_pair(analysis, v, xi):
     """Validate and wrap (v, xi); InvariantViolation if the equation fails."""
     v = vector(v)
     xi = vector(xi)
-    dv = differential(Cochain(analysis.module, 0, v))
-    if dv != contract(xi, analysis.omega):
-        raise InvariantViolation("d v != i_xi omega for the supplied pair")
+    vs = Cochain(analysis.module, 0, v).rows[0]
+    _check_pair(analysis, vs, _xi_row(xi, analysis.module.algebra.dim))
     return HamiltonianPair(v, xi)
+
+
+def _check_pair(analysis, v, xi):
+    """InvariantViolation unless d v = i_xi omega for scaled rows v and xi."""
+    dv = differential(Cochain._from_rows(analysis.module, 0, (v,)))
+    if dv != _contract(xi, analysis.omega):
+        raise InvariantViolation("d v != i_xi omega for the supplied pair")
 
 
 def pair_bracket(analysis, p1, p2):
@@ -341,28 +365,39 @@ def pair_bracket(analysis, p1, p2):
     This is the Lie algebra of pairs over the hamiltonian subalgebra; the
     first component also equals the Poisson bracket {v1, v2}.
     """
-    w = vec_neg(analysis.omega_value(p1.xi, p2.xi))
-    x = analysis.module.algebra.bracket(p1.xi, p2.xi)
-    return hamiltonian_pair(analysis, w, x)
+    n = analysis.module.algebra.dim
+    w, x = _pair_bracket_rows(analysis, _checked_row(p1.xi, n), _checked_row(p2.xi, n))
+    return HamiltonianPair(_dense(w, analysis.module.dim), _dense(x, n))
+
+
+def _pair_bracket_rows(analysis, x1, x2):
+    """Scaled rows (-omega(x1, x2), [x1, x2]) for scaled rows x1 and x2,
+    checked to be a hamiltonian pair."""
+    w = _neg(analysis._omega_row(x1, x2))
+    x = analysis.module.algebra._sparse_bracket(x1, x2)
+    _check_pair(analysis, w, x)
+    return w, x
 
 
 def abelian_bracket(analysis, p1, p2):
     """Semidirect bracket (x1.v2 - x2.v1 + omega(x1,x2), [x1,x2]) on
     V_omega x sp; the inputs need not satisfy the pairing equation."""
+    module = analysis.module
+    n, m = module.algebra.dim, module.dim
+    rows = []
     for v, xi in (p1, p2):
-        xi = vector(xi)
-        v = vector(v)
-        if not analysis.symplectic.contains(xi):
+        xi, v = vector(xi), vector(v)
+        xs = _checked_row(xi, n)
+        if not analysis.symplectic._contains_row(xs):
             raise NotSymplectic("second component must be symplectic")
-        if not analysis.admissible.contains(v):
+        vs = _checked_row(v, m)
+        if not analysis.admissible._contains_row(vs):
             raise NotAdmissible("first component must be admissible")
-    v1, x1 = vector(p1[0]), vector(p1[1])
-    v2, x2 = vector(p2[0]), vector(p2[1])
-    mod = analysis.module
-    w = vec_add(
-        vec_sub(mod.act(x1, v2), mod.act(x2, v1)), analysis.omega_value(x1, x2)
-    )
-    return w, mod.algebra.bracket(x1, x2)
+        rows.append((vs, xs))
+    (v1, x1), (v2, x2) = rows
+    act = module._act_row
+    w = sparse_lincomb(((1, act(x1, v2)), (-1, act(x2, v1)), (1, analysis._omega_row(x1, x2))))
+    return _dense(w, m), _dense(module.algebra._sparse_bracket(x1, x2), n)
 
 
 def oneform_bracket(analysis, a1, a2):
@@ -374,11 +409,11 @@ def oneform_bracket(analysis, a1, a2):
         if a.module != analysis.module or a.degree != 1:
             raise ValueError("arguments must be 1-cochains over the module")
         try:
-            t = analysis._oneform_solver.solve(a.coords)
+            t = analysis._oneform_solver._solve_row(_concat(a.rows, a.module.dim))
         except Unsolvable:
             raise NotInImage(
                 "one-form is not i_xi omega for xi normalizing the radical"
             ) from None
-        xs.append(analysis.normalizer.basis.apply(t))
-    bracket = analysis.module.algebra.bracket(xs[0], xs[1])
-    return contract(bracket, analysis.omega)
+        xs.append(analysis.normalizer.basis._apply_row(t))
+    bracket = analysis.module.algebra._sparse_bracket(xs[0], xs[1])
+    return _contract(bracket, analysis.omega)

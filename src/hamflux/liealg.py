@@ -27,11 +27,7 @@ from hamflux.linalg import (
     _sparse,
     kernel_basis,
     sparse_lincomb,
-    unit_vector,
-    vec_add,
-    vec_neg,
     vector,
-    zero_vector,
 )
 
 
@@ -90,11 +86,11 @@ class LieAlgebra:
         n, s = self.dim, self._sparse
         for i in range(n):
             if s[i][i][1]:
-                raise AntisymmetryViolation(i, i, self.structure[i][i])
+                raise AntisymmetryViolation(i, i, _dense(s[i][i], n))
             for j in range(i + 1, n):
                 if s[i][j] != _neg(s[j][i]):
-                    c = self.structure  # dense values only for the message
-                    raise AntisymmetryViolation(i, j, vec_add(c[i][j], c[j][i]))
+                    residual = sparse_lincomb(((1, s[i][j]), (1, s[j][i])))
+                    raise AntisymmetryViolation(i, j, _dense(residual, n))
         # cyclic sum of [[e_i, e_j], e_k] with [e_l, e_k] = s[l][k], times
         # the product of the three bracket scales, over the terms whose row
         # is nonzero. A triple has such a term only when some l in [e_x, e_y]
@@ -121,11 +117,6 @@ class LieAlgebra:
     def abelian(cls, n):
         return cls(_Rows(((_ZERO_ROW,) * n,) * n))
 
-    def _coords(self, x):
-        """Scaled row of the coordinate vector x; ValueError unless it has
-        length dim, TypeError if an entry is inexact."""
-        return _checked_row(x, self.dim)
-
     def _sparse_bracket(self, xs, ys):
         """Scaled row of [x, y] for scaled rows xs and ys."""
         s = self._sparse
@@ -135,15 +126,19 @@ class LieAlgebra:
     def bracket_with_basis(self, x, k):
         """[x, e_k] for a coordinate vector x."""
         k = range(self.dim)[k]
-        return _dense(self._sparse_bracket(self._coords(x), (1, ((k, 1),))), self.dim)
+        return _dense(self._sparse_bracket(_checked_row(x, self.dim), (1, ((k, 1),))), self.dim)
 
     def bracket(self, x, y):
         """[x, y] by bilinear expansion of the structure constants."""
-        return _dense(self._sparse_bracket(self._coords(x), self._coords(y)), self.dim)
+        n = self.dim
+        return _dense(self._sparse_bracket(_checked_row(x, n), _checked_row(y, n)), n)
 
     def ad_matrix(self, x):
         """Matrix of ad(x): y -> [x, y]."""
-        xs = self._coords(x)
+        return self._ad(_checked_row(x, self.dim))
+
+    def _ad(self, xs):
+        """Matrix of ad(x) for the scaled row xs."""
         cols = [self._sparse_bracket(xs, (1, ((j, 1),))) for j in range(self.dim)]
         return Matrix._from_sparse(cols, self.dim).transpose()
 
@@ -219,7 +214,11 @@ class LieModule:
 
     def action_of(self, x):
         """Matrix of the action of the coordinate vector x."""
-        s, pairs = _checked_row(x, self.algebra.dim)
+        return self._action_of_row(_checked_row(x, self.algebra.dim))
+
+    def _action_of_row(self, xs):
+        """Matrix of the action of the scaled row xs."""
+        s, pairs = xs
         terms = [(c, self.action[l].sparse_rows) for l, c in pairs]
         rows = (sparse_lincomb(((c, a[r]) for c, a in terms), s) for r in range(self.dim))
         return Matrix._from_sparse(rows, self.dim)
@@ -273,7 +272,7 @@ class LieModule:
 
 def adjoint_module(algebra):
     """The algebra acting on itself by ad."""
-    mats = [algebra.ad_matrix(unit_vector(algebra.dim, i)) for i in range(algebra.dim)]
+    mats = [algebra._ad((1, ((i, 1),))) for i in range(algebra.dim)]
     return LieModule(algebra, algebra.dim, mats)
 
 
@@ -329,19 +328,19 @@ def spanned_subalgebra(algebra, generators):
     solver = LinearSolver(generators)
     if solver.kernel().dim:
         raise HamfluxError("subalgebra generators are linearly dependent")
-    cols = generators.columns()
+    cols = generators.transpose().sparse_rows
     k = len(cols)
-    table = [[zero_vector(k)] * k for _ in range(k)]
+    table = [[_ZERO_ROW] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                table[i][j] = solver.solve(algebra.bracket(cols[i], cols[j]))
+                table[i][j] = solver._solve_row(algebra._sparse_bracket(cols[i], cols[j]))
             except Unsolvable:
                 raise HamfluxError(
                     f"generators are not bracket-closed at pair ({i}, {j})"
                 ) from None
-            table[j][i] = vec_neg(table[i][j])
-    sub = LieAlgebra(table)
+            table[j][i] = _neg(table[i][j])
+    sub = LieAlgebra(_Rows(table))
     return sub, AlgebraHom(sub, algebra, generators)
 
 

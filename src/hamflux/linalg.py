@@ -5,9 +5,7 @@ stored once, as a canonical scaled integer row (s, ((col, a), ...)): s >= 1,
 each a a nonzero int, columns strictly increasing, gcd(s, a, ...) = 1, and
 the entry at col is a / s; the zero row is (1, ()). Equal matrices therefore
 have equal rows, and products, sums, applications, stacks and transposes are
-integer arithmetic on the nonzeros. Fractions are made only at the boundary:
-the dense views `entries`, `row`, `column`, `columns` and `m[i, j]`, and the
-vectors `apply`, `LinearSolver.solve` and `Subspace.coords_of` return.
+integer arithmetic on the nonzeros.
 
 Everything reduces to one elimination kernel in _backend, entered only
 through _int_rref and fed the stored integers of each row. A reduced row is
@@ -22,7 +20,9 @@ repeated runs produce identical output:
 - particular solutions set every free variable to zero;
 - quotient maps are built from the canonical annihilator basis.
 
-Vectors are plain dense tuples of Fraction.
+Inside the library a vector is a scaled row too. A public method reads its
+vectors once (_checked_row or a dense constructor), runs its row core and
+makes Fractions once, on return (_dense); no library code reads dense views.
 """
 
 from bisect import bisect_left
@@ -33,7 +33,6 @@ from hamflux._backend import rref_ints
 from hamflux.errors import Unsolvable
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ZERO_ROW = (1, ())
 
 
@@ -57,31 +56,7 @@ def vector(xs):
     return tuple(rat(x) for x in xs)
 
 
-def zero_vector(n):
-    return (_ZERO,) * n
-
-
-def unit_vector(n, i):
-    """The i-th standard basis vector of Q^n."""
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
+# no library code calls dot; perfbench/tracer.py wraps it by this name
 def dot(u, v):
     """Exact inner product; pairs with a zero factor are never multiplied."""
     return sum([a * b for a, b in zip(u, v, strict=True) if a and b], _ZERO)
@@ -309,22 +284,18 @@ class Matrix:
         return self.__mul__(other)
 
     def apply(self, vec):
-        """Matrix-vector product, returning a tuple of Fractions.
+        """Matrix-vector product, returning a tuple of Fractions."""
+        return _dense(self._apply_row(_checked_row(vec, self.ncols)), self.nrows)
 
-        The vector is scaled to integers once, so a row costs integer
-        products and one Fraction, not a Fraction product per term.
-        """
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        den, nz = _sparse(vec)
-        if not nz:
-            return zero_vector(self.nrows)
+    def _apply_row(self, row):
+        """Scaled row of the product with the scaled row `row`, in integers."""
+        den, nz = row
         ints = dict(nz)
-        out = []
-        for s, r in self.sparse_rows:
-            t = sum([a * ints[j] for j, a in r if j in ints])
-            out.append(Fraction(t, s * den) if t else _ZERO)
-        return tuple(out)
+        return _gather([
+            (i, t, s * den)
+            for i, (s, r) in enumerate(self.sparse_rows)
+            if (t := sum([a * ints[j] for j, a in r if j in ints]))
+        ])
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -345,8 +316,8 @@ class Matrix:
             raise Unsolvable("not square")
         solver = LinearSolver(self)
         n = self.nrows
-        cols = [solver.solve(unit_vector(n, j)) for j in range(n)]
-        return Matrix.from_columns(cols, n)
+        cols = [solver._solve_row((1, ((j, 1),))) for j in range(n)]
+        return Matrix._from_sparse(cols, n).transpose()
 
 
 def hstack(a, b):
@@ -457,13 +428,15 @@ class LinearSolver:
     def solve(self, b):
         if len(b) != self.matrix.nrows:
             raise ValueError("rhs length mismatch")
-        b = vector(b)
-        x = [_ZERO] * self.matrix.ncols
-        for pc, y in zip(self._a_pivots, self._transform.apply(b)):
-            x[pc] = y
-        x = tuple(x)
+        return _dense(self._solve_row(_checked_row(b, self.matrix.nrows)), self.matrix.ncols)
+
+    def _solve_row(self, b):
+        """Scaled row of the canonical solution for the scaled row b."""
+        s, y = self._transform._apply_row(b)
+        # pivots increase, so the solution is canonical as it stands
+        x = s, tuple((self._a_pivots[k], a) for k, a in y)
         # substitution replaces the consistency rows of the reduction
-        if self.matrix.apply(x) != b:
+        if self.matrix._apply_row(x) != b:
             raise Unsolvable("rhs outside image")
         return x
 
@@ -561,8 +534,11 @@ class Subspace:
         return _dense(self._coords_row(_checked_row(v, self.ambient)), self.dim)
 
     def contains(self, v):
+        return self._contains_row(_checked_row(v, self.ambient))
+
+    def _contains_row(self, row):
         try:
-            self.coords_of(v)
+            self._coords_row(row)
             return True
         except Unsolvable:
             return False

@@ -18,11 +18,11 @@ product V_omega x g is equivalent to the omega_g-extension, with equivalence
 from hamflux._record import Record
 from hamflux.cochain import (
     Cochain,
+    _contract,
+    _lie_derivative,
     cohomology,
-    contract,
     differential,
     differential_matrix,
-    lie_derivative,
     tuple_basis,
 )
 from hamflux.errors import (
@@ -33,7 +33,7 @@ from hamflux.errors import (
     NotPrimitive,
     Unsolvable,
 )
-from hamflux.hamiltonian import hamiltonian_pair, pair_bracket
+from hamflux.hamiltonian import _check_pair, _pair_bracket_rows
 from hamflux.liealg import AlgebraHom, LieAlgebra, LieModule, _Rows
 from hamflux.linalg import (
     _ZERO_ROW,
@@ -41,10 +41,10 @@ from hamflux.linalg import (
     Matrix,
     _canon,
     _concat,
+    _dense,
     _neg,
     hstack,
     sparse_lincomb,
-    vec_add,
     vector,
     vstack,
 )
@@ -61,7 +61,7 @@ def pullback_module(analysis, zeta):
     g, module = zeta.source, analysis.module
     if g == module.algebra and zeta.matrix == Matrix.identity(g.dim):
         return module
-    mats = [module.action_of(zeta.matrix.column(i)) for i in range(g.dim)]
+    mats = [module._action_of_row(z) for z in zeta.matrix.transpose().sparse_rows]
     return LieModule(g, module.dim, mats)
 
 
@@ -71,8 +71,8 @@ def _action_store(analysis, zeta):
     key = (zeta.source, zeta.matrix)
     store = analysis._actions.get(key)
     if store is None:
-        for i in range(zeta.source.dim):
-            if not analysis.hamiltonian.contains(zeta.matrix.column(i)):
+        for i, z in enumerate(zeta.matrix.transpose().sparse_rows):
+            if not analysis.hamiltonian._contains_row(z):
                 raise ImageNotHamiltonian(i)
         store = analysis._actions[key] = {}
     return store
@@ -87,19 +87,9 @@ def pullback_cocycle(analysis, zeta):
     """
     store = _action_store(analysis, zeta)
     if "omega_g" not in store:
-        omega = analysis.omega.rows
-        _, index = tuple_basis(analysis.module.algebra.dim, 2)
         z = zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
-        rows = []
-        for i, j in tuple_basis(zeta.source.dim, 2)[0]:
-            (si, zi), (sj, zj) = z[i], z[j]
-            terms = [
-                (x * y, omega[index[a, b]]) if a < b else (-x * y, omega[index[b, a]])
-                for a, x in zi
-                for b, y in zj
-                if a != b
-            ]
-            rows.append(sparse_lincomb(terms, si * sj))
+        pairs, _ = tuple_basis(zeta.source.dim, 2)
+        rows = [analysis._omega_row(z[i], z[j]) for i, j in pairs]
         omega_g = Cochain._from_rows(pullback_module(analysis, zeta), 2, tuple(rows))
         if not differential(omega_g).is_zero():
             raise HamfluxError("pullback cocycle is not closed; zeta image not symplectic")
@@ -151,13 +141,9 @@ def solve_momentum(analysis, zeta):
     Hom(g, invariants), dimension g.dim * invariants.dim.
     """
     _action_store(analysis, zeta)  # checks the image of zeta is hamiltonian
-    cols = [
-        analysis.potential_of(zeta.matrix.column(i)) for i in range(zeta.source.dim)
-    ]
-    momentum = MomentumMap(
-        analysis, zeta, Matrix.from_columns(cols, analysis.module.dim)
-    )
-    return momentum, analysis.invariants
+    cols = [analysis._potential_row(z) for z in zeta.matrix.transpose().sparse_rows]
+    matrix = Matrix._from_sparse(cols, analysis.module.dim).transpose()
+    return MomentumMap(analysis, zeta, matrix), analysis.invariants
 
 
 def obstruction_cocycle(momentum):
@@ -392,14 +378,15 @@ def equivariantize(momentum):
     scalar = LieModule.trivial(momentum.g, 1)
     h2 = cohomology(scalar, 2)
     parts = [Cochain._from_rows(scalar, 2, tuple(v)) for v in values]
-    cls = tuple(x for xs in zip(*map(h2.class_of, parts)) for x in xs)
+    classes = [_dense(h2._class_row(part), h2.dim) for part in parts]
+    cls = tuple(x for xs in zip(*classes) for x in xs)
     solver = LinearSolver(differential_matrix(scalar, 1))
     try:
         # row a of c is the particular solution of component a
-        rows = [solver.solve(part.coords) for part in parts]
+        rows = [solver._solve_row(_concat(part.rows, 1)) for part in parts]
     except Unsolvable:
         return EquivariantizationResult(None, None, cls, k * h2.dim)
-    shift = inv.basis * Matrix(rows, momentum.g.dim)
+    shift = inv.basis * Matrix._from_sparse(rows, momentum.g.dim)
     corrected = MomentumMap(analysis, momentum.zeta, momentum.matrix - shift)
     if not obstruction_cocycle(corrected).is_zero():
         raise HamfluxError("equivariantization failed to kill the obstruction")
@@ -433,25 +420,23 @@ def coboundary_trivialization(momentum, alpha):
     if differential(alpha) != analysis.omega:
         raise NotPrimitive("d alpha != omega")
     g = momentum.g
-    zeta = momentum.zeta
-    for i in range(g.dim):
-        if not lie_derivative(zeta.matrix.column(i), alpha).is_zero():
+    z = momentum.zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
+    J = momentum.matrix.transpose().sparse_rows  # row i is J(e_i)
+    for xi in z:
+        if not _lie_derivative(xi, alpha).is_zero():
             raise NotPrimitive("alpha is not invariant under the action image")
-    cols = []
-    for i in range(g.dim):
-        xi = zeta.matrix.column(i)
-        f = vec_add(momentum.matrix.column(i), contract(xi, alpha).coords)
-        if not analysis.invariants.contains(f):
+    # row i of f is f(e_i) = J(e_i) + alpha(zeta e_i)
+    f = []
+    for xi, j in zip(z, J):
+        f.append(sparse_lincomb(((1, j), (1, _contract(xi, alpha).rows[0]))))
+        if not analysis.invariants._contains_row(f[-1]):
             raise HamfluxError("trivializing values escaped the invariants")
-        cols.append(f)
-    f_mat = Matrix.from_columns(cols, analysis.module.dim)
     # tau = d f for the trivial action: tau(X,Y) = -f([X,Y])
-    f_rows = f_mat.transpose().sparse_rows
     for (i, j), row in zip(tuple_basis(g.dim, 2)[0], obstruction_cocycle(momentum).rows):
         s, bracket = g._sparse[i][j]
-        if row != sparse_lincomb(((-c, f_rows[l]) for l, c in bracket), s):
+        if row != sparse_lincomb(((-c, f[l]) for l, c in bracket), s):
             raise HamfluxError("tau != d f in the exact case")
-    return f_mat
+    return Matrix._from_sparse(f, analysis.module.dim).transpose()
 
 
 def equivariant_pair_check(momentum):
@@ -460,8 +445,8 @@ def equivariant_pair_check(momentum):
     X.J(Y) = J([X,Y]), tau = 0, and X -> (J(X), zeta X) is a hom into pairs."""
     analysis = momentum.analysis
     g = momentum.g
-    zeta = momentum.zeta
-    J, c = momentum.matrix, g.structure
+    z = momentum.zeta.matrix.transpose().sparse_rows  # row i is zeta(e_i)
+    J = momentum.matrix.transpose().sparse_rows  # row i is J(e_i)
     tau = obstruction_cocycle(momentum)
 
     poisson_ok = True
@@ -469,15 +454,17 @@ def equivariant_pair_check(momentum):
     section_ok = True
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            jb = J.apply(c[i][j])
-            if analysis.poisson_bracket(J.column(i), J.column(j)) != jb:
+            # J and zeta applied to [e_i, e_j]
+            s, bracket = g._sparse[i][j]
+            jb = sparse_lincomb(((c, J[l]) for l, c in bracket), s)
+            zb = sparse_lincomb(((c, z[l]) for l, c in bracket), s)
+            if analysis._bracket_row(J[i], J[j]) != jb:
                 poisson_ok = False
-            if analysis.module.act(zeta.matrix.column(i), J.column(j)) != jb:
+            if analysis.module._act_row(z[i], J[j]) != jb:
                 equivariant_ok = False
-            pi = hamiltonian_pair(analysis, J.column(i), zeta.matrix.column(i))
-            pj = hamiltonian_pair(analysis, J.column(j), zeta.matrix.column(j))
-            out = pair_bracket(analysis, pi, pj)
-            if out.v != jb or out.xi != zeta.matrix.apply(c[i][j]):
+            for k in (i, j):
+                _check_pair(analysis, J[k], z[k])
+            if _pair_bracket_rows(analysis, z[i], z[j]) != (jb, zb):
                 section_ok = False
     report = {
         "poisson_map": poisson_ok,

@@ -11,9 +11,9 @@ bad input.
 """
 
 from hamflux._record import Record
-from hamflux.cochain import Cochain, contract, differential
+from hamflux.cochain import Cochain, _contract, _xi_row, differential
 from hamflux.errors import HypothesisViolation
-from hamflux.linalg import vector
+from hamflux.linalg import _dense, vector
 
 
 class NoetherReport(Record):
@@ -36,24 +36,26 @@ def invariant_flow_check(analysis, momentum, v, xi):
     module = analysis.module
     v = vector(v)
     xi = vector(xi)
-    if differential(Cochain(module, 0, v)) != contract(xi, analysis.omega):
+    c = Cochain(module, 0, v)
+    xs = _xi_row(xi, module.algebra.dim)
+    if differential(c) != _contract(xs, analysis.omega):
         raise HypothesisViolation(
             "d v = i_xi omega", "the supplied pair is not hamiltonian"
         )
-    zeta = momentum.zeta
-    for i in range(zeta.source.dim):
-        if any(x != 0 for x in module.act(zeta.matrix.column(i), v)):
+    vs = c.rows[0]
+    for i, z in enumerate(momentum.zeta.matrix.transpose().sparse_rows):
+        if module._act_row(z, vs)[1]:
             raise HypothesisViolation(
                 "v is g-invariant", f"zeta(e_{i}) does not kill v"
             )
-    if not analysis.hamiltonian.contains(xi):
+    if not analysis.hamiltonian._contains_row(xs):
         raise HypothesisViolation("xi is hamiltonian", "i_xi omega has no potential")
     witnesses = []
     ok = True
-    for i in range(momentum.g.dim):
-        residual = module.act(xi, momentum.matrix.column(i))
-        witnesses.append(("flow", (i,), residual))
-        if any(x != 0 for x in residual):
+    for i, value in enumerate(momentum.matrix.transpose().sparse_rows):
+        residual = module._act_row(xs, value)
+        witnesses.append(("flow", (i,), _dense(residual, module.dim)))
+        if residual[1]:
             ok = False
     return NoetherReport(True, ok, tuple(witnesses))
 
@@ -66,13 +68,13 @@ def commuting_actions_check(analysis, momentum1, momentum2):
     are invariant under the second action, and the brackets
     [zeta1 X, zeta2 Y] contract trivially with both omega and d omega.
     """
-    module = analysis.module
-    z1, z2 = momentum1.zeta, momentum2.zeta
-    n1, n2 = z1.source.dim, z2.source.dim
-    for i in range(n1):
-        for j in range(n2):
-            r = module.act(z1.matrix.column(i), momentum2.matrix.column(j))
-            if any(x != 0 for x in r):
+    module, m = analysis.module, analysis.module.dim
+    # row i of each is the value on e_i
+    z1, z2 = (mm.zeta.matrix.transpose().sparse_rows for mm in (momentum1, momentum2))
+    j1, j2 = (mm.matrix.transpose().sparse_rows for mm in (momentum1, momentum2))
+    for i, x in enumerate(z1):
+        for j, v in enumerate(j2):
+            if module._act_row(x, v)[1]:
                 raise HypothesisViolation(
                     "J2 values are g1-invariant",
                     f"zeta1(e_{i}) does not kill J2(e_{j})",
@@ -80,23 +82,18 @@ def commuting_actions_check(analysis, momentum1, momentum2):
     witnesses = []
     ok = True
 
-    def record(tag, idx, residual):
+    def record(tag, idx, rows):
         nonlocal ok
-        witnesses.append((tag, idx, tuple(residual)))
-        if any(x != 0 for x in residual):
+        witnesses.append((tag, idx, tuple(x for r in rows for x in _dense(r, m))))
+        if any(pairs for _, pairs in rows):
             ok = False
 
-    algebra = module.algebra
-    for j in range(n2):
-        for i in range(n1):
-            record(
-                "action",
-                (j, i),
-                module.act(z2.matrix.column(j), momentum1.matrix.column(i)),
-            )
-    for i in range(n1):
-        for j in range(n2):
-            b = algebra.bracket(z1.matrix.column(i), z2.matrix.column(j))
-            record("omega", (i, j), contract(b, analysis.omega).coords)
-            record("d_omega", (i, j), contract(b, analysis.d_omega).coords)
+    for j, y in enumerate(z2):
+        for i, v in enumerate(j1):
+            record("action", (j, i), [module._act_row(y, v)])
+    for i, x in enumerate(z1):
+        for j, y in enumerate(z2):
+            b = module.algebra._sparse_bracket(x, y)
+            record("omega", (i, j), _contract(b, analysis.omega).rows)
+            record("d_omega", (i, j), _contract(b, analysis.d_omega).rows)
     return NoetherReport(True, ok, tuple(witnesses))

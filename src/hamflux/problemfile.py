@@ -545,15 +545,15 @@ def serialize_problem(pf):
         flow = pf.noether.invariant_flow
         if flow is not None:
             block["invariant_flow"] = {
-                "subalgebra": [vector_of(v) for v in flow.generators.columns()],
+                "subalgebra": grid_of(flow.generators.transpose()),
                 "v": vector_of(flow.v),
                 "xi": vector_of(flow.xi),
             }
         com = pf.noether.commuting
         if com is not None:
             inner = {
-                "g1": [vector_of(v) for v in com.g1.columns()],
-                "g2": [vector_of(v) for v in com.g2.columns()],
+                "g1": grid_of(com.g1.transpose()),
+                "g2": grid_of(com.g2.transpose()),
             }
             if com.j1 is not None:
                 inner["J1"] = grid_of(com.j1)

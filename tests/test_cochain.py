@@ -25,9 +25,10 @@ from hamflux.cochain import (
 )
 from hamflux.errors import DegreeZero, UnsupportedDegree
 from hamflux.gallery import random_instance
+from hamflux.hamiltonian import analyze
 from hamflux.liealg import LieAlgebra, LieModule, adjoint_module
-from hamflux.linalg import Matrix, Subspace, unit_vector, vec_add, vec_scale, zero_vector
-from util import heis3, heis_pair_instance, rescaled, sl2, solvable2
+from hamflux.linalg import Matrix, Subspace
+from util import heis3, heis_pair_instance, rescaled, sl2, solvable2, unit_vector, zero_vector
 
 
 def naive_differential(c):
@@ -45,18 +46,15 @@ def naive_differential(c):
         out = zero_vector(mod.dim)
         for pos in range(p1):
             rest = t[:pos] + t[pos + 1 :]
-            out = vec_add(
-                out, vec_scale(F(-1) ** pos, mod.act(basis(t[pos]), c.value(*rest)))
-            )
+            acted = mod.act(basis(t[pos]), c.value(*rest))
+            out = tuple(o + F(-1) ** pos * x for o, x in zip(out, acted))
         for a in range(p1):
             for b in range(a + 1, p1):
                 rest = tuple(x for q, x in enumerate(t) if q not in (a, b))
                 for k, w in enumerate(alg.structure[t[a]][t[b]]):
                     if w:
-                        out = vec_add(
-                            out,
-                            vec_scale(F(-1) ** (a + b) * w, c.value(k, *rest)),
-                        )
+                        value = c.value(k, *rest)
+                        out = tuple(o + F(-1) ** (a + b) * w * x for o, x in zip(out, value))
         return out
 
     return Cochain.from_values(mod, c.degree + 1, term)
@@ -160,6 +158,18 @@ def test_contract_rejects_wrong_length(xi):
     mod, omega = heis_pair_instance()
     with pytest.raises(ValueError):
         contract(xi, omega)
+
+
+def test_lie_derivative_checks_xi_without_index_tuples():
+    # a degree-3 cochain over a 2-dim algebra has no increasing tuples
+    mod = LieModule.trivial(LieAlgebra.abelian(2), 1)
+    c = Cochain.zero(mod, 3)
+    assert c.rows == ()
+    assert lie_derivative((1, 2), c) == c
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        lie_derivative((1, 2, 3, 4, 5), c)
+    with pytest.raises(TypeError):
+        lie_derivative((0.5, 1), c)
 
 
 def test_from_dict_sign_normalization():
@@ -307,6 +317,12 @@ def test_abelian_trivial_cohomology_is_full_cochain_space():
 def test_invariant_vectors_of_adjoint_is_center():
     mod = adjoint_module(heis3())
     assert invariant_vectors(mod) == Subspace.from_vectors(3, [(0, 0, 1)])
+
+
+def test_v_h_is_derived_once_per_module():
+    mod, omega = heis_pair_instance()
+    assert analyze(mod, omega).invariants is invariant_vectors(mod)
+    assert cohomology(mod, 0).cocycles is invariant_vectors(mod)
 
 
 def test_cohomology_class_computation_on_heis3():

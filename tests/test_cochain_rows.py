@@ -4,8 +4,9 @@ dense formulas.
 Each reference below works on the dense Fraction coordinates, as cochains
 were computed before they were stored as rows: values are slices of the
 coordinate vector, the differential is the dense product with the assembled
-matrix, a contraction sums xi_i c(e_i, ...) and from_dict accumulates into
-a dense list. The instances are rescaled copies of small modules, so the
+matrix, a contraction sums xi_i c(e_i, ...), the Lie derivative is its
+definition term by term, a class is read off a dense solve in the cocycles
+and from_dict accumulates into a dense list. The instances are rescaled copies of small modules, so the
 rows have scales > 1 and entries past 2^64.
 """
 
@@ -20,15 +21,18 @@ from hypothesis import strategies as st
 from hamflux.cochain import (
     Cochain,
     cochain_dim,
+    cohomology,
     contract,
     contraction_matrix,
     differential,
     differential_matrix,
+    lie_derivative,
     sort_with_sign,
     tuple_basis,
 )
+from hamflux.errors import Unsolvable
 from hamflux.liealg import LieModule, adjoint_module
-from hamflux.linalg import _sparse
+from hamflux.linalg import LinearSolver, Subspace, _sparse, quotient_map
 from hamflux.problemfile import parse_problem
 from util import (
     assert_scaled_row,
@@ -97,6 +101,27 @@ def dense_contract(module, p, xi, coords):
     )
 
 
+def dense_lie_derivative(module, p, xi, coords):
+    """(L_xi c)(t) = xi . c(t) - sum over slots of c(t with e_(t_pos)
+    replaced by [xi, e_(t_pos)]), expanded in the basis."""
+    n, m = module.algebra.dim, module.dim
+    c, rho = module.algebra.structure, [a.entries for a in module.action]
+    out = []
+    for t in tuple_basis(n, p)[0]:
+        value = dense_value(module, p, coords, t)
+        acted = [
+            sum((xi[l] * rho[l][a][b] * value[b] for l in range(n) for b in range(m)), F(0))
+            for a in range(m)
+        ]
+        for pos, y in enumerate(t):
+            for k in range(n):
+                w = sum((xi[i] * c[i][y][k] for i in range(n)), F(0))
+                other = dense_value(module, p, coords, t[:pos] + (k,) + t[pos + 1 :])
+                acted = [x - w * o for x, o in zip(acted, other)]
+        out += acted
+    return out
+
+
 def dense_rows(module, p, coords):
     """The scaled rows of the values of `coords`, one per increasing tuple."""
     m = module.dim
@@ -131,9 +156,29 @@ def test_differential_contract_and_value_match_the_dense_formulas(data):
     assert c.value(*idx) == dense_value(module, p, coords, idx)
     if p < 3:
         assert_same(differential(c), module, p + 1, dense_differential(module, p, coords))
+    xi = data.draw(st.lists(entry, min_size=n, max_size=n))
+    assert_same(lie_derivative(xi, c), module, p, dense_lie_derivative(module, p, xi, coords))
     if p > 0:
-        xi = data.draw(st.lists(entry, min_size=n, max_size=n))
         assert_same(contract(xi, c), module, p - 1, dense_contract(module, p, xi, coords))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_class_of_matches_a_dense_solve_in_the_cocycles(data):
+    module = data.draw(modules())
+    p = data.draw(st.integers(1, 2))
+    h = cohomology(module, p)
+    z = h.cocycles
+    solver = LinearSolver(z.basis)
+    b_in_z = [solver.solve(b) for b in h.coboundaries.basis.columns()]
+    q = quotient_map(z.dim, Subspace.from_vectors(z.dim, b_in_z))
+    coeffs = data.draw(st.lists(entry, min_size=z.dim, max_size=z.dim))
+    coords = z.basis.apply(coeffs)
+    assert h.class_of(Cochain(module, p, coords)) == q.apply(solver.solve(coords))
+    moved = data.draw(coords_of_degree(module, p))
+    if not z.contains(moved):
+        with pytest.raises(Unsolvable):
+            h.class_of(Cochain(module, p, moved))
 
 
 @settings(max_examples=40, deadline=None)

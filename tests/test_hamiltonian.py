@@ -56,10 +56,9 @@ from hamflux.linalg import (
     hstack,
     kernel_basis,
     quotient_map,
-    unit_vector,
+    rref,
     vector,
     vstack,
-    zero_vector,
 )
 from hamflux.momentum import (
     abelian_extension,
@@ -77,6 +76,8 @@ from util import (
     rescaled,
     sl2,
     sl2_adjoint_instance,
+    unit_vector,
+    zero_vector,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -754,3 +755,79 @@ def test_lattice_and_lifts_equal_the_eager_formulas(case):
     )
     dims = {attr: value.dim for attr, value in expected.items() if not attr.startswith("_")}
     assert an.exactness_report()["dims"] == {**dims, "differential_image": image.dim}
+
+
+# -- pair, semidirect and one-form brackets against dense formulas ---------------
+
+def dense_bracket(alg, x, y):
+    n, c = alg.dim, alg.structure
+    return tuple(
+        sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0))
+        for k in range(n)
+    )
+
+
+def dense_act(module, x, v):
+    rho, m = [a.entries for a in module.action], module.dim
+    return tuple(
+        sum((x[l] * rho[l][a][b] * v[b] for l in range(len(x)) for b in range(m)), F(0))
+        for a in range(m)
+    )
+
+
+def dense_omega(omega, x, y):
+    """omega(x, y) = sum over i, j of x_i y_j omega(e_i, e_j)."""
+    n, m = omega.module.algebra.dim, omega.module.dim
+    return tuple(
+        sum((x[i] * y[j] * omega.value(i, j)[a] for i in range(n) for j in range(n)), F(0))
+        for a in range(m)
+    )
+
+
+def dense_i_omega(omega, x):
+    """The coords of i_x omega: the value on e_b is omega(x, e_b)."""
+    n = omega.module.algebra.dim
+    return tuple(a for b in range(n) for a in dense_omega(omega, x, unit_vector(n, b)))
+
+
+# instances whose ham is not abelian, each rescaled before use
+NONABELIAN_HAM = [sl2_adjoint_instance, lambda: bundle_pair(matrix_algebra_example(2))]
+COEFF = st.one_of(st.just(F(0)), SCALE)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_pair_semidirect_and_oneform_brackets_equal_the_dense_formulas(data):
+    module, omega = data.draw(st.sampled_from(NONABELIAN_HAM))()
+    lam = data.draw(st.lists(SCALE, min_size=module.algebra.dim, max_size=module.algebra.dim))
+    mu = data.draw(st.lists(SCALE, min_size=module.dim, max_size=module.dim))
+    module, omega = rescaled_pair(module, omega, lam, mu)
+    alg, an = module.algebra, analyze(module, omega)
+
+    def member(sub):
+        return sub.basis.apply(data.draw(st.lists(COEFF, min_size=sub.dim, max_size=sub.dim)))
+
+    x1, x2 = member(an.hamiltonian), member(an.hamiltonian)
+    assert an.omega_value(x1, x2) == dense_omega(omega, x1, x2)
+    # the potential solves d v = i_xi omega with every free column of d zero
+    d0 = differential_matrix(module, 0)
+    pivots = {next(j for j, x in enumerate(row) if x) for row in rref(d0).entries if any(row)}
+    v1, v2 = an.potential_of(x1), an.potential_of(x2)
+    for x, v in ((x1, v1), (x2, v2)):
+        assert tuple(sum(a * b for a, b in zip(row, v)) for row in d0.entries) == dense_i_omega(
+            omega, x
+        )
+        assert all(v[j] == 0 for j in range(module.dim) if j not in pivots)
+    p1, p2 = hamiltonian_pair(an, v1, x1), hamiltonian_pair(an, v2, x2)
+    w = tuple(-a for a in dense_omega(omega, x1, x2))
+    assert pair_bracket(an, p1, p2) == HamiltonianPair(w, dense_bracket(alg, x1, x2))
+
+    s1, s2 = member(an.symplectic), member(an.symplectic)
+    u1, u2 = member(an.admissible), member(an.admissible)
+    parts = zip(dense_act(module, s1, u2), dense_act(module, s2, u1), dense_omega(omega, s1, s2))
+    expected = tuple(a - b + c for a, b, c in parts)
+    assert abelian_bracket(an, (u1, s1), (u2, s2)) == (expected, dense_bracket(alg, s1, s2))
+
+    n1, n2 = member(an.normalizer), member(an.normalizer)
+    got = oneform_bracket(an, contract(n1, omega), contract(n2, omega))
+    assert got.coords == dense_i_omega(omega, dense_bracket(alg, n1, n2))

@@ -26,9 +26,16 @@ from hamflux.liealg import (
 )
 from hamflux.gallery import matrix_algebra_example, random_instance
 from hamflux.hamiltonian import analyze
-from hamflux.linalg import Matrix, Subspace, _neg, unit_vector, vector
+from hamflux.linalg import Matrix, Subspace, _neg, vector
 from hamflux.problemfile import parse_problem
-from util import assert_scaled_row, heis3, rational_limit_document, sl2, solvable2
+from util import (
+    assert_scaled_row,
+    heis3,
+    rational_limit_document,
+    sl2,
+    solvable2,
+    unit_vector,
+)
 
 
 def test_heis3_validates_and_brackets():

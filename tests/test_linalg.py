@@ -13,6 +13,7 @@ from hamflux._backend import rref_ints
 from hamflux.cochain import differential_matrix
 from hamflux.errors import Unsolvable
 from hamflux.gallery import matrix_algebra_example, random_instance
+from hamflux.liealg import AlgebraHom, LieAlgebra
 from hamflux.linalg import (
     LinearSolver,
     Matrix,
@@ -189,6 +190,28 @@ def test_apply_matches_row_dot_products(m, coeffs):
         assert got == want
         assert all(type(x) is F for x in got)
     assert m.apply((0,) * m.ncols) == (F(0),) * m.nrows
+
+
+def apply_entry_points():
+    """Matrix.apply and the two public wrappers over it, each taking a
+    vector of length 2."""
+    m = Matrix([[1, 2], [0, 3]])
+    alg = LieAlgebra.abelian(2)
+    return [
+        m.apply,
+        AlgebraHom.identity(alg).apply,
+        Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 1)]).basis.apply,
+    ]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_apply_reads_its_vector_like_every_other_entry_point(which):
+    apply = apply_entry_points()[which]
+    with pytest.raises(TypeError, match="not an exact rational"):
+        apply((0.5, 1))
+    assert apply(("1/2", 1)) == apply((F(1, 2), 1))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        apply((1, 2, 3))
 
 
 def test_apply_on_empty_shapes():

@@ -47,9 +47,6 @@ from hamflux.linalg import (
     _dense,
     _sparse,
     kernel_basis,
-    unit_vector,
-    vec_neg,
-    vec_sub,
 )
 from hamflux.momentum import (
     ExtensionPresentation,
@@ -75,6 +72,7 @@ from util import (
     sl2,
     sl2_adjoint_instance,
     solvable2,
+    unit_vector,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -681,7 +679,7 @@ def assert_tau_matches_the_dense_formula(momentum):
     assert len(rows) == len(coords) == len(pairs)
     for p, (i, j) in enumerate(pairs):
         x_j = analysis.module.act(momentum.zeta.matrix.column(i), J.column(j))
-        value = vec_sub(x_j, J.apply(g.structure[i][j]))
+        value = tuple(a - b for a, b in zip(x_j, J.apply(g.structure[i][j])))
         assert tau.value(i, j) == value
         assert rows[p] == _sparse(value)
         assert coords[p] == _sparse(analysis.invariants.coords_of(value))
@@ -711,7 +709,7 @@ def tau_instance(g, tau):
         for x in range(n)
     ]
     module = LieModule(g, k + n, mats)
-    omega = Cochain.from_values(module, 2, lambda x, y: vec_neg(value(x, y)))
+    omega = Cochain.from_values(module, 2, lambda x, y: tuple(-a for a in value(x, y)))
     momentum, _ = solve_momentum(analyze(module, omega), AlgebraHom.identity(g))
     return momentum
 
@@ -779,7 +777,7 @@ def _heis3_plus_abelian(extra):
     n = 3 + extra
     table = [[(0,) * n for _ in range(n)] for _ in range(n)]
     table[0][1] = unit_vector(n, 2)
-    table[1][0] = vec_neg(unit_vector(n, 2))
+    table[1][0] = tuple(-x for x in unit_vector(n, 2))
     return LieAlgebra(table)
 
 
@@ -811,7 +809,7 @@ def dense_extension_table(k, base, action, head):
     for a in range(base.dim):
         for i, w in enumerate(() if action is None else action[a]):
             table[k + a][i] = tuple(w) + tail
-            table[i][k + a] = vec_neg(w) + tail
+            table[i][k + a] = tuple(-x for x in w) + tail
         for b in range(base.dim):
             if a != b:
                 h = (F(0),) * k if head is None else tuple(head(a, b))
@@ -934,7 +932,8 @@ def test_corrupted_row_tables_fail_like_dense_tables(name, data):
     dense = [list(row) for row in algebra.structure]
     rows[i][j], dense[i][j] = _sparse(value), value
     if paired:
-        rows[j][i], dense[j][i] = _sparse(vec_neg(value)), vec_neg(value)
+        neg = tuple(-x for x in value)
+        rows[j][i], dense[j][i] = _sparse(neg), neg
     got = violation(_Rows(map(tuple, rows)))
     assert got == violation(dense)
     if not paired and value != algebra.structure[i][j]:

@@ -20,6 +20,15 @@ def assert_scaled_row(row, ncols):
     assert gcd(s, *[a for _, a in pairs]) == 1
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n."""
+    return tuple(F(1) if j == i else F(0) for j in range(n))
+
+
+def zero_vector(n):
+    return (F(0),) * n
+
+
 def rescaled(module, lam, mu):
     """The same module in the bases e'_i = lam_i e_i and v'_a = mu_a v_a:
     [e'_i, e'_j] has coordinate lam_i lam_j / lam_k c_ij^k at e'_k, and
